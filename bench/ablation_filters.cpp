@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "circuits/circuit_repository.h"
+#include "core/acquire.h"
 #include "core/baseline.h"
 #include "core/experiment.h"
 #include "logic/quine_mccluskey.h"
@@ -56,14 +57,14 @@ void fov_sweep(const core::ExperimentConfig& base) {
   const auto spec = circuits::CircuitRepository::build("0x0B");
 
   // One simulation; re-filter under different FOV_UD values.
-  core::ExperimentResult reference = core::run_experiment(spec, base);
+  const sim::SweepResult reference = core::simulate_trace(spec, base);
   util::TextTable table({"FOV_UD", "expression", "verify"});
   table.set_align(0, util::TextTable::Align::kRight);
   for (const double fov : {0.001, 0.005, 0.02, 0.1, 0.25, 0.5, 1.0}) {
     core::ExperimentConfig config = base;
     config.fov_ud = fov;
     const core::ExperimentResult result =
-        core::reanalyze(spec, config, reference.sweep);
+        core::reanalyze(spec, config, reference);
     table.add_row({util::format_double(fov, 4),
                    result.extraction.expression(),
                    core::summarize(result.verification, spec.expected)});
@@ -87,8 +88,11 @@ void sampling_sweep(const core::ExperimentConfig& base) {
     core::ExperimentConfig config = base;
     config.sampling_period = period;
     const auto result = core::run_experiment(spec, config);
-    table.add_row({util::format_double(period, 4),
-                   std::to_string(result.sweep.trace.sample_count()),
+    std::size_t samples = 0;
+    for (const auto& record : result.extraction.variation.records) {
+      samples += record.case_count;
+    }
+    table.add_row({util::format_double(period, 4), std::to_string(samples),
                    result.extraction.expression(),
                    util::format_double(result.extraction.fitness(), 5),
                    core::summarize(result.verification, spec.expected)});

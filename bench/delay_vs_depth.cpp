@@ -13,6 +13,7 @@
 
 #include <iostream>
 
+#include "core/acquire.h"
 #include "core/experiment.h"
 #include "gates/gate_library.h"
 #include "gates/netlist_to_sbml.h"
@@ -78,10 +79,9 @@ int main(int argc, char** argv) {
     config.threshold = threshold;
     config.total_time = 12000.0;
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto reference = core::run_experiment(spec, config);
-    const auto delays =
-        timing::estimate_delays(reference.sweep.trace, reference.sweep.schedule,
-                                spec.output_id, threshold);
+    const sim::SweepResult reference = core::simulate_trace(spec, config);
+    const auto delays = timing::estimate_delays(
+        reference.trace, reference.schedule, spec.output_id, threshold);
 
     // Find the smallest per-combination hold from which extraction stays
     // correct for every longer hold too (a single short-hold pass can be a

@@ -28,10 +28,11 @@
 /// Shared analysis options: --threshold, --fov-ud, --total-time,
 /// --sampling-period, --seed, --method (direct|next-reaction|tau-leap),
 /// --backend (packed|reference), --sink (mem|spill|digitize),
-/// --spill-dir <dir>, --csv <path>, --no-timings. The sink selects trace
-/// storage (in-memory trace, chunked .glvt spill files, or fused
-/// sampler→ADC digitization — see docs/STORAGE.md); results are
-/// bit-identical for every sink.
+/// --spill-dir <dir>, --csv <path>, --no-timings. Every analysis op
+/// digitizes inside the sampler; --sink only names what --spill-dir
+/// archives per replicate (mem: nothing, spill: the analog rows,
+/// digitize: the bit-planes — see docs/STORAGE.md). Results are
+/// bit-identical for every sink and backend.
 ///
 /// The analysis subcommands (analyze/verify/ensemble/sweep) parse into an
 /// app::Request and run through app::execute — the same path the daemon

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "circuits/circuit_repository.h"
+#include "core/acquire.h"
 #include "core/report.h"
 #include "logic/truth_table.h"
 #include "props/parser.h"
@@ -29,12 +30,12 @@ void add_analysis_options(util::CliParser& cli) {
   cli.add_option("backend", "packed",
                  "analysis streams: packed | reference (bit-identical)");
   cli.add_option("sink", "mem",
-                 "trace storage: mem | spill | digitize (bit-identical "
-                 "results; see docs/STORAGE.md)");
+                 "what --spill-dir archives per replicate: mem (nothing) | "
+                 "spill (analog rows) | digitize (bit-planes); results are "
+                 "identical, see docs/STORAGE.md");
   cli.add_option("spill-dir", "",
-                 "directory for .glvt spill files (required for --sink "
-                 "spill; with --sink digitize, also writes a bit-plane "
-                 ".glvt artifact)");
+                 "directory for one .glvt archive per replicate (required "
+                 "for --sink spill)");
   cli.add_flag("no-timings",
                "omit wall-clock lines from the report (byte-stable output "
                "for goldens, caching, and CLI/daemon identity)");
@@ -284,6 +285,10 @@ Request request_from_cli(Request::Op op, std::string target,
   request.op = op;
   request.target = std::move(target);
   request.config = config_from(cli);
+  // Refuse an unrunnable config here, before a daemon looks the request up
+  // in its cache: a cached body must never answer a request the CLI
+  // rejects.
+  core::validate(request.config);
   request.no_timings = cli.get_flag("no-timings");
   if (op != Request::Op::kAnalyze) {
     request.two_stage = cli.get_flag("two-stage");
@@ -422,8 +427,6 @@ std::string canonical_key(const Request& request) {
       append_field(key, "method", "tau-leap");
       break;
   }
-  append_field(key, "backend", core::analysis_backend_name(config.backend));
-  append_field(key, "sink", store::sink_kind_name(config.sink));
   return key;
 }
 

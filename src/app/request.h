@@ -77,7 +77,7 @@ void add_request_options(util::CliParser& cli, Request::Op op);
 /// Build the Request from a parser that ran over add_request_options
 /// declarations. Throws glva::InvalidArgument on invalid field values
 /// (bad method/backend/sink names, replicates < 1, empty sweep grid,
-/// missing analyze inputs).
+/// missing analyze inputs, a config core::validate refuses).
 [[nodiscard]] Request request_from_cli(Request::Op op, std::string target,
                                        const util::CliParser& cli);
 
@@ -88,10 +88,14 @@ void add_request_options(util::CliParser& cli, Request::Op op);
 
 /// The canonical content key: every semantic field in a fixed order,
 /// doubles in exact hex-float form, lists length-prefixed — equal keys
-/// iff equal results. Placement-only fields (spill_dir, spill_stem) are
-/// excluded: they move scratch files around without changing a byte of
-/// the response. Job counts are not part of a Request at all (results
-/// are bit-identical for every worker count, per the exec/ contract).
+/// iff equal results. Placement-only fields (spill_dir, spill_stem, sink)
+/// are excluded: they choose what is archived where without changing a
+/// byte of the response. So is the analysis backend, whose results are
+/// bit-identical by contract. Job counts are not part of a Request at all
+/// (results are bit-identical for every worker count, per the exec/
+/// contract). A request that writes an archive (core::writes_archive) must
+/// still execute whatever the cache holds; serve::Server does not answer
+/// it from the cache.
 [[nodiscard]] std::string canonical_key(const Request& request);
 
 /// FNV-1a 64 of canonical_key — the short content address used in logs

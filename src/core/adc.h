@@ -93,8 +93,8 @@ struct PackedDigitalData {
 /// Assemble the analyzer's input from a fused sampler→ADC run: moves the
 /// sink's planes out in tracking order — planes [0, input_count) are the
 /// inputs (MSB first), plane input_count is the output. The single owner
-/// of that ordering convention (run_experiment's digitize path and
-/// bench_trace_io both go through here). Throws glva::InvalidArgument
+/// of that ordering convention (core::acquire and bench_trace_io both go
+/// through here). Throws glva::InvalidArgument
 /// when the sink tracks fewer than input_count + 1 species.
 [[nodiscard]] PackedDigitalData take_digitized(store::DigitizingSink& sink,
                                                std::size_t input_count);

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/acquire.h"
 #include "exec/parallel_runner.h"
 #include "exec/seed_sequence.h"
 #include "logic/quine_mccluskey.h"
@@ -59,17 +60,8 @@ EnsembleResult run_ensemble(const circuits::CircuitSpec& spec,
       replicates,
       [&](std::size_t r) {
         GLVA_SPAN("replicate");
-        ExperimentConfig replicate_config = config;
+        ExperimentConfig replicate_config = job_config(spec, config, "-r", r);
         replicate_config.seed = ensemble.replicate_seeds[r];
-        if (replicate_config.sink == store::SinkKind::kSpill ||
-            (replicate_config.sink == store::SinkKind::kDigitize &&
-             !replicate_config.spill_dir.empty())) {
-          // One .glvt per replicate under spill_dir (analog spill, or the
-          // digitize path's bit-plane artifact), named by replicate index
-          // and derived seed — parallel replicates must not share a file.
-          replicate_config.spill_stem = spill_stem_for(spec, config) + "-r" +
-                                        std::to_string(r);
-        }
         return run_experiment(spec, replicate_config);
       },
       [&](std::size_t r, ExperimentResult&& result) {

@@ -31,27 +31,22 @@ struct ExperimentConfig {
   double sampling_period = 1.0;  ///< trace grid, time units per sample
   std::uint64_t seed = 1;        ///< RNG seed; equal seeds reproduce runs
   sim::SsaMethod method = sim::SsaMethod::kDirect;
-  /// Analysis-stage representation (bit-packed vs reference vector<bool>);
-  /// results are bit-identical either way — see AnalysisBackend.
+  /// Representation the analyzer and the property monitors run on after
+  /// acquisition (bit-packed vs reference vector<bool>); results are
+  /// bit-identical either way — see AnalysisBackend.
   AnalysisBackend backend = AnalysisBackend::kPacked;
 
-  /// Where the sweep's samples land (see store::SinkKind and
-  /// docs/STORAGE.md): kMemory materializes the trace (reference path),
-  /// kSpill streams it to a chunked .glvt file under `spill_dir` and
-  /// re-materializes for analysis, kDigitize fuses the ADC into the
-  /// sampler so no double trace ever exists (requires the packed backend;
-  /// ExperimentResult::sweep.trace comes back empty). All three yield
-  /// bit-identical analysis results for the same seed.
+  /// What an acquisition archives under `spill_dir` (see store::SinkKind
+  /// and docs/STORAGE.md): kMemory nothing, kSpill the analog rows (a
+  /// SpillSink .glvt), kDigitize the bit-planes (a v2 kBits .glvt that
+  /// core::load_digitized replays into analyze_packed). Analysis always
+  /// runs on the digitized planes, so the choice never changes a result.
   store::SinkKind sink = store::SinkKind::kMemory;
-  /// Directory for .glvt spill files; required when sink == kSpill.
-  /// Optional with kDigitize: when set, the run also streams its packed
-  /// planes into a bit-plane .glvt artifact (v2 kBits) that
-  /// core::load_digitized can replay into analyze_packed with no
-  /// re-simulation and no re-thresholding.
+  /// Directory for the per-replicate .glvt archives; required when
+  /// sink == kSpill, ignored under kMemory.
   std::string spill_dir;
-  /// Spill filename stem override ("<stem>.glvt"); empty derives
-  /// "<circuit>-s<seed>". Batch runners set it to keep per-job files
-  /// distinct (e.g. per replicate, per threshold point).
+  /// Archive filename stem override ("<stem>.glvt"); empty derives
+  /// "<circuit>-s<seed>". Batch runners set it through core::job_config.
   std::string spill_stem;
 
   [[nodiscard]] double high_level() const noexcept {
@@ -59,32 +54,29 @@ struct ExperimentConfig {
   }
 };
 
-/// Everything one experiment produces.
+/// Everything one experiment produces. The samples themselves are not
+/// kept: analysis runs on the digitized planes of core::acquire, and
+/// core::simulate_trace draws the analog trace for code that needs it.
 struct ExperimentResult {
   std::string circuit_name;
   ExperimentConfig config;
-  sim::SweepResult sweep;          ///< trace + schedule
+  sim::InputSchedule schedule;     ///< the sweep's input program
   ExtractionResult extraction;     ///< Algorithm 1 output
   VerificationReport verification; ///< vs the circuit's intended function
-  double simulate_seconds = 0.0;   ///< wall time of the SSA sweep
+  double simulate_seconds = 0.0;   ///< wall time of the acquisition pass
   double analyze_seconds = 0.0;    ///< wall time of Algorithm 1
 };
 
-/// Run the full pipeline on a circuit: sweep all 2^N input combinations
-/// (total_time split evenly across phases), extract the logic, and verify
-/// it against spec.expected. Throws glva::InvalidArgument for invalid
-/// analyzer parameters (including a spill sink without a spill_dir, or
-/// the digitize sink combined with the reference backend),
-/// glva::ValidationError for unsimulatable models, and glva::StorageError
-/// when a spill file cannot be written or read back.
+/// Run the full pipeline on a circuit: core::acquire the digitized planes
+/// of one sweep over all 2^N input combinations (total_time split evenly
+/// across phases), extract the logic, and verify it against
+/// spec.expected. The packed analyzer runs up to kPackedAutoInputLimit
+/// inputs; beyond that, or under AnalysisBackend::kReference, the
+/// reference stages run on core::unpack(planes) — bit-identical either
+/// way. Throws what core::acquire throws, plus glva::InvalidArgument for
+/// invalid analyzer parameters.
 [[nodiscard]] ExperimentResult run_experiment(const circuits::CircuitSpec& spec,
                                               const ExperimentConfig& config);
-
-/// The spill filename stem run_experiment uses for `config` (the
-/// spill_stem override, or "<circuit>-s<seed>"); the file is
-/// "<spill_dir>/<stem>.glvt".
-[[nodiscard]] std::string spill_stem_for(const circuits::CircuitSpec& spec,
-                                         const ExperimentConfig& config);
 
 /// Repository-wide batch runner (the Table 1 workload): run the experiment
 /// on every spec, one exec/ job per circuit, across up to `jobs` worker
@@ -115,10 +107,11 @@ void run_batch(const std::vector<circuits::CircuitSpec>& specs,
                const exec::ParallelRunner& runner,
                const BatchObserver& observer);
 
-/// Re-analyze an existing sweep under a different analyzer configuration
-/// (used by the threshold sweep so each threshold re-reads the same trace
-/// family; note the paper re-applies inputs at each threshold, so a full
-/// re-simulation variant exists too — see threshold_sweep.h).
+/// Analyze an analog sweep under `config`'s analyzer settings — the trace
+/// path. The re-digitize threshold ablation and the figure benches use it
+/// on a core::simulate_trace sweep, and it is the oracle the tests hold
+/// run_experiment to: reanalyze(spec, config, simulate_trace(spec,
+/// config)) extracts bit-identically to run_experiment(spec, config).
 [[nodiscard]] ExperimentResult reanalyze(const circuits::CircuitSpec& spec,
                                          const ExperimentConfig& config,
                                          const sim::SweepResult& sweep);

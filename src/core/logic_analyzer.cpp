@@ -24,21 +24,10 @@ LogicAnalyzer::LogicAnalyzer(AnalyzerConfig config) : config_(config) {
   }
 }
 
-namespace {
-
-/// Packed cost grows as 2^N; beyond the auto limit the reference path is
-/// both faster and far lighter on memory (see kPackedAutoInputLimit).
-bool packed_applies(std::size_t input_count) {
-  return input_count <= kPackedAutoInputLimit;
-}
-
-}  // namespace
-
 ExtractionResult LogicAnalyzer::analyze(
     const sim::Trace& trace, const std::vector<std::string>& input_ids,
     const std::string& output_id) const {
-  if (config_.backend == AnalysisBackend::kPacked &&
-      packed_applies(input_ids.size())) {
+  if (packed_applies(config_.backend, input_ids.size())) {
     // Line 4 of Algorithm 1 on the packed path: digitize straight into
     // bit-packed streams, no vector<bool> intermediate.
     return analyze_packed(
@@ -54,8 +43,7 @@ ExtractionResult LogicAnalyzer::analyze(
 ExtractionResult LogicAnalyzer::analyze_digital(
     const DigitalData& data, std::vector<std::string> input_names,
     std::string output_name) const {
-  if (config_.backend == AnalysisBackend::kPacked &&
-      packed_applies(data.input_count())) {
+  if (packed_applies(config_.backend, data.input_count())) {
     return analyze_packed(pack(data), std::move(input_names),
                           std::move(output_name));
   }

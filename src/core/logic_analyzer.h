@@ -45,6 +45,15 @@ enum class AnalysisBackend {
 /// analyze_packed callers may go up to logic::CombinationIndex::kMaxInputs.
 inline constexpr std::size_t kPackedAutoInputLimit = 6;
 
+/// Whether `backend` runs the packed stages on `input_count` inputs:
+/// kPacked up to kPackedAutoInputLimit. Beyond it, or under kReference,
+/// the (bit-identical) reference stages run instead.
+[[nodiscard]] constexpr bool packed_applies(AnalysisBackend backend,
+                                            std::size_t input_count) noexcept {
+  return backend == AnalysisBackend::kPacked &&
+         input_count <= kPackedAutoInputLimit;
+}
+
 /// The algorithm's initial parameters (the paper's N, ThVAL, FOV_UD, IS,
 /// OS; N is implied by IS, and SDAn is the trace argument).
 struct AnalyzerConfig {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "core/acquire.h"
 #include "core/adc.h"
 #include "exec/parallel_runner.h"
 #include "util/timer.h"
@@ -11,23 +12,6 @@ namespace glva::core {
 namespace {
 
 using util::seconds_since;
-
-/// Give every point of a spilling sweep its own .glvt file: the points
-/// share the base seed (common random numbers), so the default
-/// "<circuit>-s<seed>" stem would collide.
-ExperimentConfig point_config(const circuits::CircuitSpec& spec,
-                              const ExperimentConfig& base_config,
-                              double threshold, std::size_t point) {
-  ExperimentConfig config = base_config;
-  config.threshold = threshold;
-  if (config.sink == store::SinkKind::kSpill ||
-      (config.sink == store::SinkKind::kDigitize &&
-       !config.spill_dir.empty())) {
-    config.spill_stem =
-        spill_stem_for(spec, base_config) + "-p" + std::to_string(point);
-  }
-  return config;
-}
 
 /// Collecting observer backing the materializing overloads: the streaming
 /// commit order is point order, so push_back reassembles the vector the
@@ -50,8 +34,9 @@ void threshold_sweep(const circuits::CircuitSpec& spec,
   runner.run_reduce<ThresholdPoint>(
       thresholds.size(),
       [&](std::size_t i) {
-        ExperimentConfig config =
-            point_config(spec, base_config, thresholds[i], i);
+        // The points share the base seed, so each needs its own archive.
+        ExperimentConfig config = job_config(spec, base_config, "-p", i);
+        config.threshold = thresholds[i];
         config.input_high_level = -1.0;  // re-apply inputs at the threshold
         return ThresholdPoint{thresholds[i], run_experiment(spec, config)};
       },
@@ -77,18 +62,11 @@ void threshold_sweep_redigitize(const circuits::CircuitSpec& spec,
                                 const std::vector<double>& thresholds,
                                 const exec::ParallelRunner& runner,
                                 const ThresholdPointObserver& observer) {
-  // One simulation at the base input level... The base run must keep the
-  // analog trace around for re-digitization, so a digitize sink (which
-  // never materializes it) falls back to the bit-identical memory path.
-  ExperimentConfig base_run_config = base_config;
-  if (base_run_config.sink == store::SinkKind::kDigitize) {
-    base_run_config.sink = store::SinkKind::kMemory;
-  }
-  ExperimentResult base = run_experiment(spec, base_run_config);
+  // One simulation at the base input level, kept as an analog trace so
+  // every point can re-digitize it.
+  const sim::SweepResult base = simulate_trace(spec, base_config);
 
-  const bool packed = base_config.backend == AnalysisBackend::kPacked &&
-                      spec.input_ids.size() <= kPackedAutoInputLimit;
-  if (!packed) {
+  if (!packed_applies(base_config.backend, spec.input_ids.size())) {
     // Reference (or beyond-auto-limit) path: plain per-point re-analysis.
     runner.run_reduce<ThresholdPoint>(
         thresholds.size(),
@@ -96,9 +74,7 @@ void threshold_sweep_redigitize(const circuits::CircuitSpec& spec,
           ExperimentConfig config = base_config;
           config.threshold = thresholds[i];
           config.input_high_level = base_config.high_level();
-          ExperimentResult point = reanalyze(spec, config, base.sweep);
-          point.simulate_seconds = 0.0;  // shared simulation, not re-run
-          return ThresholdPoint{thresholds[i], std::move(point)};
+          return ThresholdPoint{thresholds[i], reanalyze(spec, config, base)};
         },
         [&](std::size_t i, ThresholdPoint&& point) {
           if (observer) observer(i, std::move(point));
@@ -121,8 +97,7 @@ void threshold_sweep_redigitize(const circuits::CircuitSpec& spec,
             std::vector<logic::BitStream> inputs;
             inputs.reserve(spec.input_ids.size());
             for (const auto& id : spec.input_ids) {
-              inputs.push_back(
-                  adc_packed(base.sweep.trace.series(id), thresholds[i]));
+              inputs.push_back(adc_packed(base.trace.series(id), thresholds[i]));
             }
             return inputs;
           });
@@ -165,13 +140,12 @@ void threshold_sweep_redigitize(const circuits::CircuitSpec& spec,
         ExperimentResult point;
         point.circuit_name = spec.name;
         point.config = config;
-        point.simulate_seconds = 0.0;  // shared simulation, not re-run
 
         LogicAnalyzer analyzer(
             AnalyzerConfig{config.threshold, config.fov_ud, config.backend});
         const auto analyze_start = std::chrono::steady_clock::now();
-        const logic::BitStream output = adc_packed(
-            base.sweep.trace.series(spec.output_id), thresholds[i]);
+        const logic::BitStream output =
+            adc_packed(base.trace.series(spec.output_id), thresholds[i]);
         point.extraction = analyzer.analyze_packed_shared(
             classes[class_of[i]].index, output, spec.input_ids,
             spec.output_id);

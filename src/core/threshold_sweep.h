@@ -75,9 +75,9 @@ void threshold_sweep(const circuits::CircuitSpec& spec,
 /// per group — the 2^N-mask construction (the expensive part) runs once
 /// per *group*, and each point's job re-digitizes only the output stream
 /// before the word-parallel stages. Results are bit-identical to a
-/// per-point re-analysis. A
-/// digitize sink on the base config falls back to the (bit-identical)
-/// memory path for the shared run, which must keep the analog trace.
+/// per-point re-analysis. The shared run is a core::simulate_trace pass
+/// (it keeps the analog trace to re-digitize), archived like any other
+/// replicate when base_config names a spill directory.
 [[nodiscard]] ThresholdSweepResult threshold_sweep_redigitize(
     const circuits::CircuitSpec& spec, const ExperimentConfig& base_config,
     const std::vector<double>& thresholds, std::size_t jobs = 1);

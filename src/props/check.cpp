@@ -1,20 +1,17 @@
 #include "props/check.h"
 
 #include <bit>
-#include <filesystem>
 #include <sstream>
 #include <utility>
 
+#include "core/acquire.h"
 #include "core/adc.h"
 #include "core/logic_analyzer.h"
 #include "exec/seed_sequence.h"
 #include "logic/combination_index.h"
+#include "obs/trace.h"
 #include "props/monitor.h"
 #include "props/reference.h"
-#include "sim/virtual_lab.h"
-#include "store/digitizing_sink.h"
-#include "store/spill_reader.h"
-#include "store/spill_sink.h"
 #include "util/errors.h"
 #include "util/string_util.h"
 #include "util/text_table.h"
@@ -22,46 +19,6 @@
 namespace glva::props {
 
 namespace {
-
-std::vector<std::string> plane_names(const circuits::CircuitSpec& spec) {
-  std::vector<std::string> names = spec.input_ids;
-  names.push_back(spec.output_id);
-  return names;
-}
-
-sim::VirtualLab make_lab(const circuits::CircuitSpec& spec,
-                         const core::ExperimentConfig& config) {
-  sim::LabOptions lab_options;
-  lab_options.sampling_period = config.sampling_period;
-  lab_options.seed = config.seed;
-  lab_options.method = config.method;
-
-  sim::VirtualLab lab(spec.model, lab_options);
-  lab.declare_inputs(spec.input_ids);
-  return lab;
-}
-
-/// The spill acquisition: stream the sweep to its .glvt (one file per
-/// replicate, same naming as the ensemble runner) and hand back the file
-/// path. What happens next depends on the backend — see run_one.
-std::string spill_sweep(const circuits::CircuitSpec& spec,
-                        const core::ExperimentConfig& config) {
-  sim::VirtualLab lab = make_lab(spec, config);
-  std::filesystem::create_directories(config.spill_dir);
-  const std::string path = (std::filesystem::path(config.spill_dir) /
-                            (core::spill_stem_for(spec, config) + ".glvt"))
-                               .string();
-  store::SpillSink::Options spill_options;
-  spill_options.seed = config.seed;
-  spill_options.sampling_period = config.sampling_period;
-  store::SpillSink sink(path, spill_options);
-  // The schedule is not needed here: combination masks are rebuilt from
-  // the packed input planes by CombinationIndex.
-  static_cast<void>(
-      lab.run_combination_sweep_into(config.total_time, config.high_level(),
-                                     sink));
-  return path;
-}
 
 /// Packed evaluation of one replicate: one monitor pass per property,
 /// then per-combination reduction through the CombinationIndex masks —
@@ -171,78 +128,22 @@ CheckReplicate evaluate_reference_replicate(
   return replicate;
 }
 
-/// One replicate end to end: simulate under the configured sink, digitize
-/// into the configured representation, evaluate every property.
+/// One replicate end to end: acquire its planes, then evaluate every
+/// property with the monitor the backend picks (the analyzer's rule: the
+/// packed monitor up to kPackedAutoInputLimit inputs, the bit-identical
+/// reference evaluator beyond it).
 CheckReplicate run_one(const circuits::CircuitSpec& spec,
                        const core::ExperimentConfig& config,
                        const std::vector<std::string>& names,
                        const std::vector<PropertyPtr>& properties) {
-  if (config.sink == store::SinkKind::kDigitize) {
-    std::vector<std::string> tracked = spec.input_ids;
-    tracked.push_back(spec.output_id);
-    sim::VirtualLab lab = make_lab(spec, config);
-    // With a spill directory, the digitized replicate also leaves a
-    // replayable bit-plane .glvt artifact, per-replicate stem — the same
-    // tee run_experiment's digitize path uses.
-    store::DigitizingSink sink = [&] {
-      if (config.spill_dir.empty()) {
-        return store::DigitizingSink(std::move(tracked), config.threshold);
-      }
-      std::filesystem::create_directories(config.spill_dir);
-      store::DigitizingSink::SpillOptions spill;
-      spill.path = (std::filesystem::path(config.spill_dir) /
-                    (core::spill_stem_for(spec, config) + ".glvt"))
-                       .string();
-      spill.seed = config.seed;
-      spill.sampling_period = config.sampling_period;
-      return store::DigitizingSink(std::move(tracked), config.threshold,
-                                   std::move(spill));
-    }();
-    static_cast<void>(lab.run_combination_sweep_into(
-        config.total_time, config.high_level(), sink));
-    const core::PackedDigitalData data =
-        core::take_digitized(sink, spec.input_ids.size());
-    return evaluate_packed_replicate(data, names, properties, config.seed);
+  const core::Acquisition acquired = core::acquire(spec, config);
+  GLVA_SPAN("monitor");
+  if (core::packed_applies(config.backend, spec.input_ids.size())) {
+    return evaluate_packed_replicate(acquired.planes, names, properties,
+                                     config.seed);
   }
-
-  // Same auto-fallback as the analyzer: past the packed limit the 2^N
-  // masks stop paying for themselves — the reference path is bit-identical.
-  const bool packed = config.backend == core::AnalysisBackend::kPacked &&
-                      spec.input_ids.size() <= core::kPackedAutoInputLimit;
-
-  if (config.sink == store::SinkKind::kSpill) {
-    const std::string path = spill_sweep(spec, config);
-    store::SpillReader reader(path);
-    if (packed) {
-      // Out of core: replay the spill chunk-by-chunk into the streaming
-      // ADC, so resident memory stays one chunk of doubles plus the bit
-      // planes — the full trace is never re-materialized. Bit-identical
-      // to digitizing a read_all() trace (the DigitizingSink contract).
-      std::vector<std::string> tracked = spec.input_ids;
-      tracked.push_back(spec.output_id);
-      store::DigitizingSink digitizer(std::move(tracked), config.threshold);
-      reader.replay(digitizer);
-      const core::PackedDigitalData data =
-          core::take_digitized(digitizer, spec.input_ids.size());
-      return evaluate_packed_replicate(data, names, properties, config.seed);
-    }
-    const sim::Trace trace = reader.read_all();
-    const core::DigitalData data = core::digitize(
-        trace, spec.input_ids, spec.output_id, config.threshold);
-    return evaluate_reference_replicate(data, names, properties, config.seed);
-  }
-
-  sim::VirtualLab lab = make_lab(spec, config);
-  const sim::Trace trace = std::move(
-      lab.run_combination_sweep(config.total_time, config.high_level()).trace);
-  if (packed) {
-    const core::PackedDigitalData data = core::digitize_packed(
-        trace, spec.input_ids, spec.output_id, config.threshold);
-    return evaluate_packed_replicate(data, names, properties, config.seed);
-  }
-  const core::DigitalData data =
-      core::digitize(trace, spec.input_ids, spec.output_id, config.threshold);
-  return evaluate_reference_replicate(data, names, properties, config.seed);
+  return evaluate_reference_replicate(core::unpack(acquired.planes), names,
+                                      properties, config.seed);
 }
 
 std::string violation_label(std::size_t index, double sampling_period) {
@@ -265,30 +166,10 @@ CheckResult run_check(const circuits::CircuitSpec& spec,
   if (properties.empty()) {
     throw InvalidArgument("run_check: need at least one property (--property)");
   }
-  const std::vector<std::string> names = plane_names(spec);
+  const std::vector<std::string> names = core::plane_names(spec);
   for (const PropertyPtr& property : properties) {
     if (!property) throw InvalidArgument("run_check: null property");
     validate_atoms(*property, names);
-  }
-  // Mirror run_experiment's sink/backend validation up front, before any
-  // replicate simulates.
-  if (config.sink == store::SinkKind::kDigitize) {
-    if (config.backend != core::AnalysisBackend::kPacked) {
-      throw InvalidArgument(
-          "run_check: sink 'digitize' requires the packed analysis backend "
-          "(it produces bit-planes, not a trace)");
-    }
-    if (spec.input_ids.size() > core::kPackedAutoInputLimit) {
-      throw InvalidArgument(
-          "run_check: sink 'digitize' supports up to " +
-          std::to_string(core::kPackedAutoInputLimit) +
-          " inputs (packed-analysis limit); use sink 'mem' or 'spill' for "
-          "wider circuits");
-    }
-  }
-  if (config.sink == store::SinkKind::kSpill && config.spill_dir.empty()) {
-    throw InvalidArgument(
-        "run_check: sink 'spill' requires a spill directory (--spill-dir)");
   }
 
   CheckResult result;
@@ -312,14 +193,9 @@ CheckResult run_check(const circuits::CircuitSpec& spec,
   runner.run_reduce<CheckReplicate>(
       replicates,
       [&](std::size_t r) {
-        core::ExperimentConfig replicate_config = config;
+        core::ExperimentConfig replicate_config =
+            core::job_config(spec, config, "-r", r);
         replicate_config.seed = result.replicate_seeds[r];
-        if (replicate_config.sink == store::SinkKind::kSpill ||
-            (replicate_config.sink == store::SinkKind::kDigitize &&
-             !replicate_config.spill_dir.empty())) {
-          replicate_config.spill_stem =
-              core::spill_stem_for(spec, config) + "-r" + std::to_string(r);
-        }
         return run_one(spec, replicate_config, names, properties);
       },
       [&](std::size_t r, CheckReplicate&& replicate) {

@@ -13,8 +13,9 @@
 #include "props/property.h"
 
 /// `glva check` — temporal-property monitoring of simulated circuits.
-/// Simulates the usual input-combination sweep (same sinks, seeds, and
-/// digitization as `run_experiment`), then evaluates each property's
+/// Acquires the usual input-combination sweep through core::acquire (same
+/// seeds, archives and digitization as `run_experiment`), then evaluates
+/// each property's
 /// per-sample verdict stream with the packed monitor (or the reference
 /// evaluator under --backend reference — results are bit-identical) and
 /// reduces it to per-input-combination satisfaction statistics. Replicate
@@ -112,7 +113,7 @@ using CheckObserver =
 /// are evaluated with the backend selected by config.backend; both
 /// backends produce bit-identical counts. Throws glva::InvalidArgument on
 /// zero replicates, an empty property list, a property referencing an
-/// unknown plane, or the sink/backend combinations run_experiment rejects.
+/// unknown plane, or a config core::acquire rejects.
 [[nodiscard]] CheckResult run_check(const circuits::CircuitSpec& spec,
                                     const core::ExperimentConfig& config,
                                     const std::vector<PropertyPtr>& properties,

@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "app/version.h"
+#include "core/acquire.h"
 #include "logic/simd/kernel_set.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -294,11 +295,13 @@ void Server::start() {
   }
   running_.store(true);
   started_ = true;
+  // Each accept thread gets its listener by value: stop() resets the
+  // members while the threads may still be starting up.
   if (unix_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(unix_fd_); });
+    accept_threads_.emplace_back([this, fd = unix_fd_] { accept_loop(fd); });
   }
   if (tcp_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(tcp_fd_); });
+    accept_threads_.emplace_back([this, fd = tcp_fd_] { accept_loop(fd); });
   }
 }
 
@@ -448,7 +451,17 @@ std::string Server::handle_analysis(const WireRequest& wire,
   const std::string fingerprint =
       fingerprint_hex(app::request_fingerprint(request));
 
-  if (const auto hit = cache_.get(key)) {
+  // A request that archives must execute: its .glvt files are part of what
+  // it asks for, and a cached body writes none of them. It coalesces only
+  // with requests archiving the same way into the same directory; its
+  // body still fills the cache for everyone else.
+  const bool archives = core::writes_archive(request.config);
+  std::string flight_key = key;
+  if (archives) {
+    flight_key += std::string("archive=") +
+                  store::sink_kind_name(request.config.sink) + ':' +
+                  request.config.spill_dir;
+  } else if (const auto hit = cache_.get(key)) {
     return render_ok_response(wire.id, hit->exit_code, hit->body,
                               /*cached=*/true, fingerprint);
   }
@@ -459,7 +472,7 @@ std::string Server::handle_analysis(const WireRequest& wire,
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto& slot = inflight_[key];
+    auto& slot = inflight_[flight_key];
     if (slot == nullptr) {
       slot = std::make_shared<InFlight>();
       leader = true;
@@ -548,7 +561,7 @@ std::string Server::handle_analysis(const WireRequest& wire,
   }
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(key);
+    inflight_.erase(flight_key);
   }
 
   if (ok) {

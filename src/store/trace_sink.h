@@ -56,14 +56,15 @@ public:
   virtual void finish() = 0;
 };
 
-/// The sink families selectable per experiment (`ExperimentConfig::sink`,
-/// CLI `--sink mem|spill|digitize`). All three produce bit-identical
-/// analysis results for the same seed; they differ in what they keep
-/// resident and what survives the run on disk.
+/// What an experiment archives per replicate under its spill directory
+/// (`ExperimentConfig::sink`, CLI `--sink mem|spill|digitize`). Analysis
+/// always runs on the planes a DigitizingSink produces during the
+/// simulation (core::acquire), so every kind yields bit-identical results;
+/// they differ only in what survives the run on disk.
 enum class SinkKind {
-  kMemory,    ///< materialize a sim::Trace in RAM (reference path)
-  kSpill,     ///< chunked .glvt file on disk, bounded RAM (SpillSink)
-  kDigitize,  ///< threshold into bit-planes on the fly (DigitizingSink)
+  kMemory,    ///< archive nothing
+  kSpill,     ///< the analog rows, as a chunked .glvt (SpillSink tee)
+  kDigitize,  ///< the digitized bit-planes, as a kBits .glvt
 };
 
 /// Stable name ("mem" / "spill" / "digitize") and its inverse; parse

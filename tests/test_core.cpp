@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "circuits/circuit_repository.h"
+#include "core/acquire.h"
 #include "core/adc.h"
 #include "core/baseline.h"
 #include "core/bool_constructor.h"
@@ -451,12 +452,12 @@ TEST(ThresholdSweepRedigitize, SharedIndexLeavesSweepOutputUnchanged) {
 
   // Reference: the shared simulation re-analyzed point by point through
   // the generic analyzer entry (no index sharing).
-  const auto base = core::run_experiment(spec, config);
+  const auto base = core::simulate_trace(spec, config);
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     core::ExperimentConfig point_config = config;
     point_config.threshold = thresholds[i];
     point_config.input_high_level = config.high_level();
-    const auto expected = core::reanalyze(spec, point_config, base.sweep);
+    const auto expected = core::reanalyze(spec, point_config, base);
 
     const auto& actual = sweep.points[i].result;
     EXPECT_EQ(actual.extraction.expression(),

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,7 @@
 #include "exec/seed_sequence.h"
 #include "exec/thread_pool.h"
 #include "sim/rng.h"
+#include "store/spill_reader.h"
 #include "util/errors.h"
 
 namespace {
@@ -308,17 +310,27 @@ std::string bits_of(double value) {
   return out.str();
 }
 
-/// Serialize everything seed-dependent an experiment produced. Trace CSV
-/// captures every sample of every species, so any divergence in the
-/// simulation itself shows up, not just in the derived analytics.
+/// Serialize everything seed-dependent an experiment produced. The run
+/// archived its own analog rows (see archiving_config), and the archive's
+/// CSV captures every sample of every species the run simulated, so any
+/// divergence in the simulation itself shows up, not just in the derived
+/// analytics. The archive's directory is left out: runs that archive into
+/// different directories fingerprint alike.
 std::string fingerprint(const core::ExperimentResult& result) {
+  const core::ExperimentConfig& config = result.config;
+  const std::string stem =
+      config.spill_stem.empty()
+          ? result.circuit_name + "-s" + std::to_string(config.seed)
+          : config.spill_stem;
+  store::SpillReader archive(
+      (std::filesystem::path(config.spill_dir) / (stem + ".glvt")).string());
   std::ostringstream out;
-  out << result.circuit_name << '|' << result.config.seed << '|'
+  out << result.circuit_name << '|' << config.seed << '|'
       << result.extraction.extracted().to_bits() << '|'
       << bits_of(result.extraction.fitness()) << '|'
       << result.verification.matches << '|'
       << result.verification.wrong_state_count() << '|'
-      << result.sweep.trace.to_csv() << '\n';
+      << archive.read_all().to_csv() << '\n';
   return out.str();
 }
 
@@ -370,13 +382,27 @@ core::ExperimentConfig fast_config() {
   return config;
 }
 
+/// fast_config, archiving the analog rows of every run into a fresh
+/// directory named for `run`, where fingerprint() reads them back.
+core::ExperimentConfig archiving_config(const std::string& run) {
+  core::ExperimentConfig config = fast_config();
+  config.sink = store::SinkKind::kSpill;
+  config.spill_dir =
+      (std::filesystem::path(::testing::TempDir()) / ("exec_" + run))
+          .string();
+  std::filesystem::remove_all(config.spill_dir);
+  return config;
+}
+
 TEST(Determinism, EnsembleIsBitIdenticalAcrossJobCounts) {
   const auto spec = circuits::CircuitRepository::build("0x1");
-  const auto serial = run_fingerprinted_ensemble(spec, fast_config(), 5, 1);
-  const auto parallel = run_fingerprinted_ensemble(spec, fast_config(), 5, 8);
+  const auto serial =
+      run_fingerprinted_ensemble(spec, archiving_config("ensemble_j1"), 5, 1);
+  const auto parallel =
+      run_fingerprinted_ensemble(spec, archiving_config("ensemble_j8"), 5, 8);
   EXPECT_EQ(fingerprint(serial.ensemble), fingerprint(parallel.ensemble));
-  // Every replicate — full trace CSV included — is bit-identical whatever
-  // the worker count, replicate by replicate.
+  // Every replicate — each sample its run simulated included — is
+  // bit-identical whatever the worker count, replicate by replicate.
   EXPECT_EQ(serial.replicates, parallel.replicates);
   // Replicates genuinely differ from one another (derived streams, not a
   // replayed base seed).
@@ -386,9 +412,10 @@ TEST(Determinism, EnsembleIsBitIdenticalAcrossJobCounts) {
 TEST(Determinism, ThresholdSweepIsBitIdenticalAcrossJobCounts) {
   const auto spec = circuits::CircuitRepository::build("0x1");
   const std::vector<double> thresholds{5.0, 15.0, 30.0};
-  const auto serial = core::threshold_sweep(spec, fast_config(), thresholds, 1);
+  const auto serial =
+      core::threshold_sweep(spec, archiving_config("sweep_j1"), thresholds, 1);
   const auto parallel =
-      core::threshold_sweep(spec, fast_config(), thresholds, 4);
+      core::threshold_sweep(spec, archiving_config("sweep_j4"), thresholds, 4);
   ASSERT_EQ(serial.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
     EXPECT_EQ(serial.points[i].threshold, parallel.points[i].threshold);
@@ -404,8 +431,8 @@ TEST(Determinism, BatchIsBitIdenticalAcrossJobCountsAndKeepsSpecOrder) {
       circuits::CircuitRepository::build("0x6"),
       circuits::CircuitRepository::build("0x8"),
   };
-  const auto serial = core::run_batch(specs, fast_config(), 1);
-  const auto parallel = core::run_batch(specs, fast_config(), 4);
+  const auto serial = core::run_batch(specs, archiving_config("batch_j1"), 1);
+  const auto parallel = core::run_batch(specs, archiving_config("batch_j4"), 4);
   ASSERT_EQ(serial.size(), specs.size());
   ASSERT_EQ(parallel.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/circuit_repository.h"
+#include "core/acquire.h"
 #include "core/baseline.h"
 #include "core/experiment.h"
 #include "core/threshold_sweep.h"
@@ -209,17 +210,15 @@ TEST(Integration, DecayTailAtCombination100IsFilteredByEq2) {
 TEST(Integration, IntermediateComponentAnalysisRecoversStageLogic) {
   const auto spec = CircuitRepository::build("0x8");  // AND = NOR(NOT,NOT)
   core::ExperimentConfig config;
-  const auto result = core::run_experiment(spec, config);
+  const auto sweep = core::simulate_trace(spec, config);
 
   const core::LogicAnalyzer analyzer(
       core::AnalyzerConfig{config.threshold, config.fov_ud});
   // SrpR = NOT(A), QacR = NOT(B).
-  const auto srp =
-      analyzer.analyze(result.sweep.trace, spec.input_ids, "SrpR");
+  const auto srp = analyzer.analyze(sweep.trace, spec.input_ids, "SrpR");
   EXPECT_EQ(srp.extracted(),
             logic::TruthTable::from_minterms(2, {0, 1}));  // A'
-  const auto qac =
-      analyzer.analyze(result.sweep.trace, spec.input_ids, "QacR");
+  const auto qac = analyzer.analyze(sweep.trace, spec.input_ids, "QacR");
   EXPECT_EQ(qac.extracted(),
             logic::TruthTable::from_minterms(2, {0, 2}));  // B'
 }

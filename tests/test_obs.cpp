@@ -372,39 +372,52 @@ TEST(Trace, WriteChromeTraceRoundTripsThroughFile) {
 }
 
 TEST(Trace, CliTraceOutWritesStageSpans) {
+  struct Case {
+    std::vector<std::string> args;
+    std::vector<const char*> spans;  ///< the op's stages, all required
+  };
+  // 0x0B needs ~4000 tu to settle into the intended logic (exit 0); the
+  // check passes at --min-satisfaction 0 whatever the verdicts.
+  const std::vector<Case> cases = {
+      {{"verify", "0x0B", "--total-time", "4000", "--seed", "7",
+        "--no-timings"},
+       {"simulate", "analyze"}},
+      {{"check", "0x0B", "--property", "G(C->F[0,400]GFP)", "--total-time",
+        "4000", "--seed", "7", "--min-satisfaction", "0"},
+       {"simulate", "monitor"}},
+  };
   const std::string path =
       (std::filesystem::temp_directory_path() / "glva_test_cli_trace.json")
           .string();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args.front());
+    std::vector<std::string> args = c.args;
+    args.insert(args.end(), {"--trace-out", path});
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(app::run_cli(args, out, err), 0) << err.str();
+    EXPECT_NE(err.str().find("trace written to " + path), std::string::npos);
 
-  std::ostringstream out;
-  std::ostringstream err;
-  // 0x0B needs ~4000 tu to settle into the intended logic (exit 0).
-  const int code = app::run_cli({"verify", "0x0B", "--total-time", "4000",
-                                 "--seed", "7", "--no-timings", "--trace-out",
-                                 path},
-                                out, err);
-  ASSERT_EQ(code, 0) << err.str();
-  EXPECT_NE(err.str().find("trace written to " + path), std::string::npos);
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::ostringstream content;
+    content << in.rdbuf();
+    in.close();
+    std::remove(path.c_str());
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream content;
-  content << in.rdbuf();
-  std::remove(path.c_str());
-
-  const serve::Json doc = serve::parse_json(content.str());
-  ASSERT_TRUE(doc.is_array());
-  std::vector<std::string> names;
-  names.reserve(doc.array.size());
-  for (const serve::Json& event : doc.array) {
-    names.push_back(event.find("name")->string);
+    const serve::Json doc = serve::parse_json(content.str());
+    ASSERT_TRUE(doc.is_array());
+    std::vector<std::string> names;
+    names.reserve(doc.array.size());
+    for (const serve::Json& event : doc.array) {
+      names.push_back(event.find("name")->string);
+    }
+    for (const char* expected : c.spans) {
+      EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
+          << expected;
+    }
+    EXPECT_FALSE(obs::trace_enabled());  // CLI path turned tracing back off
   }
-  // The verify pipeline's tentpole stages must be present.
-  for (const char* expected : {"simulate", "analyze"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
-  EXPECT_FALSE(obs::trace_enabled());  // CLI path turned tracing back off
 }
 
 TEST(Trace, CliRejectsMissingTraceOutValue) {

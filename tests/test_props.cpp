@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "props/property.h"
 #include "props/reference.h"
 #include "sim/rng.h"
-#include "store/spill_reader.h"
 #include "util/errors.h"
 
 namespace {
@@ -522,55 +520,6 @@ TEST(CheckRunner, BackendsAndJobCountsAreBitIdentical) {
       packed, props::run_check(spec, reference_config, properties, 2, 1));
   expect_check_results_equal(
       packed, props::run_check(spec, small_config(), properties, 2, 3));
-}
-
-TEST(CheckRunner, SinksAreBitIdenticalAndSpillRunsOutOfCore) {
-  // The spill path replays the .glvt straight into the streaming ADC (no
-  // trace re-materialization) for the packed backend, and through
-  // read_all for the reference backend; all of it must match the memory
-  // path bit for bit — same seed, same samples, same verdict words.
-  const auto spec = circuits::CircuitRepository::build("0x1");
-  const auto properties = small_properties();
-  const props::CheckResult memory =
-      props::run_check(spec, small_config(), properties, 2, 1);
-
-  core::ExperimentConfig spill_config = small_config();
-  spill_config.sink = store::SinkKind::kSpill;
-  spill_config.spill_dir =
-      (std::filesystem::path(::testing::TempDir()) / "check_spill").string();
-  expect_check_results_equal(
-      memory, props::run_check(spec, spill_config, properties, 2, 2));
-  // One .glvt per replicate, so parallel replicates never share a file.
-  for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_TRUE(std::filesystem::exists(
-        std::filesystem::path(spill_config.spill_dir) /
-        (spec.name + "-s99-r" + std::to_string(r) + ".glvt")))
-        << "replicate " << r;
-  }
-
-  spill_config.backend = core::AnalysisBackend::kReference;
-  expect_check_results_equal(
-      memory, props::run_check(spec, spill_config, properties, 2, 1));
-
-  core::ExperimentConfig digitize_config = small_config();
-  digitize_config.sink = store::SinkKind::kDigitize;
-  expect_check_results_equal(
-      memory, props::run_check(spec, digitize_config, properties, 2, 1));
-
-  // With a spill directory, the digitize sink also tees a per-replicate
-  // bit-plane artifact that must open as a readable kBits file.
-  digitize_config.spill_dir =
-      (std::filesystem::path(::testing::TempDir()) / "check_tee").string();
-  expect_check_results_equal(
-      memory, props::run_check(spec, digitize_config, properties, 2, 2));
-  for (std::size_t r = 0; r < 2; ++r) {
-    const auto path = std::filesystem::path(digitize_config.spill_dir) /
-                      (spec.name + "-s99-r" + std::to_string(r) + ".glvt");
-    ASSERT_TRUE(std::filesystem::exists(path)) << "replicate " << r;
-    store::SpillReader reader(path.string());
-    EXPECT_EQ(reader.content_kind(), store::glvt::ContentKind::kBits);
-    EXPECT_EQ(reader.read_planes().size(), spec.input_ids.size() + 1);
-  }
 }
 
 TEST(CheckRunner, ObserverSeesEveryReplicateInOrder) {

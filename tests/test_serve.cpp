@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -238,8 +239,6 @@ TEST(CanonicalKey, EverySemanticFieldChangesTheKey) {
       {"--total-time", "9999"},
       {"--sampling-period", "2"},
       {"--method", "next-reaction"},
-      {"--backend", "reference"},
-      {"--sink", "digitize"},
       {"--two-stage"},
       {"--no-timings"},
   };
@@ -271,10 +270,19 @@ TEST(CanonicalKey, EverySemanticFieldChangesTheKey) {
 }
 
 TEST(CanonicalKey, PlacementOnlyFieldsAreExcluded) {
-  // spill_dir moves scratch files; it cannot change a response byte.
-  const Request a = make_request({"--sink", "spill", "--spill-dir", "/tmp/a"});
-  const Request b = make_request({"--sink", "spill", "--spill-dir", "/tmp/b"});
-  EXPECT_EQ(glva::app::canonical_key(a), glva::app::canonical_key(b));
+  // spill_dir and sink choose what is archived where, and the backends
+  // are bit-identical: none of them can change a response byte.
+  const std::string base = glva::app::canonical_key(make_request({}));
+  const std::vector<std::vector<std::string>> variants = {
+      {"--sink", "spill", "--spill-dir", "/tmp/a"},
+      {"--sink", "spill", "--spill-dir", "/tmp/b"},
+      {"--backend", "reference"},
+      {"--sink", "digitize"},
+  };
+  for (const auto& options : variants) {
+    EXPECT_EQ(glva::app::canonical_key(make_request(options)), base)
+        << "option set changed the key: " << options.front();
+  }
 }
 
 TEST(CanonicalKey, ThresholdGridIsExact) {
@@ -692,6 +700,103 @@ TEST(ServeEndToEnd, TraceFieldAttachesStageSpans) {
   EXPECT_EQ(bad.error_kind, "protocol");
 }
 
+TEST(ServeEndToEnd, NonFiniteOrNonPositiveConfigFailsFastEverywhere) {
+  struct Case {
+    const char* option;
+    const char* value;
+    const char* field;
+  };
+  const std::vector<Case> cases = {
+      {"--total-time", "nan", "total_time"},
+      {"--total-time", "inf", "total_time"},
+      {"--total-time", "0", "total_time"},
+      {"--sampling-period", "nan", "sampling_period"},
+      {"--sampling-period", "-1", "sampling_period"},
+      {"--threshold", "nan", "threshold"},
+      {"--threshold", "inf", "threshold"},
+  };
+  // Each case must be refused before anything simulates: far below this
+  // bound, where a hang or a paper-scale run would be far above it.
+  constexpr auto kBound = std::chrono::seconds(2);
+  Server server(small_server_options());
+  for (const Case& c : cases) {
+    for (const std::string op : {"verify", "check"}) {
+      std::vector<std::string> options = {c.option, c.value};
+      if (op == "check") options.insert(options.end(), {"--property", "G GFP"});
+      const std::string label = op + " " + c.option + " " + c.value;
+      const auto start = std::chrono::steady_clock::now();
+
+      std::vector<std::string> args = {op, "0x0B"};
+      args.insert(args.end(), options.begin(), options.end());
+      std::ostringstream out;
+      std::ostringstream err;
+      EXPECT_EQ(run_cli(args, out, err), 2) << label;
+      EXPECT_NE(err.str().find(c.field), std::string::npos)
+          << label << ": " << err.str();
+
+      const ParsedResponse response =
+          parse_response(server.dispatch(analysis_payload(op, "0x0B", options)));
+      EXPECT_FALSE(response.ok) << label;
+      EXPECT_EQ(response.error_kind, "invalid_argument") << label;
+      EXPECT_EQ(server.admission_stats().active, 0u) << label;
+      EXPECT_LT(std::chrono::steady_clock::now() - start, kBound) << label;
+    }
+  }
+}
+
+TEST(ServeEndToEnd, ArchivingRequestsAlwaysExecute) {
+  // --sink and --spill-dir are not part of the cache key, yet a request
+  // that archives must write its .glvt whatever the cache already holds.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("glva-test-archive-" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  const auto verify = [](std::vector<std::string> extra) {
+    extra.insert(extra.begin(), {"--total-time", "400", "--no-timings"});
+    return analysis_payload("verify", "0x0B", extra);
+  };
+  Server server(small_server_options());
+  const ParsedResponse plain = parse_response(server.dispatch(verify({})));
+  ASSERT_TRUE(plain.ok);
+
+  // A spill sink with nowhere to archive is refused, not served from the
+  // cache, just as the CLI refuses it.
+  const ParsedResponse no_dir =
+      parse_response(server.dispatch(verify({"--sink", "spill"})));
+  EXPECT_FALSE(no_dir.ok);
+  EXPECT_EQ(no_dir.error_kind, "invalid_argument");
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_cli({"verify", "0x0B", "--total-time", "400", "--sink",
+                     "spill"},
+                    out, err),
+            2);
+  EXPECT_EQ(server.admission_stats().active, 0u);
+
+  for (const std::string sink : {"spill", "digitize"}) {
+    const fs::path dir = root / sink;
+    for (int round = 0; round < 2; ++round) {
+      fs::remove_all(dir);
+      const ParsedResponse archived = parse_response(server.dispatch(
+          verify({"--sink", sink, "--spill-dir", dir.string()})));
+      ASSERT_TRUE(archived.ok) << sink;
+      EXPECT_FALSE(archived.cached) << sink << " round " << round;
+      EXPECT_EQ(archived.body, plain.body) << sink;
+      EXPECT_TRUE(fs::exists(dir / "0x0B-s1.glvt"))
+          << sink << " round " << round;
+    }
+  }
+  // mem archives nothing, so the cache answers it like the plain request.
+  const ParsedResponse mem = parse_response(server.dispatch(
+      verify({"--sink", "mem", "--spill-dir", (root / "mem").string()})));
+  ASSERT_TRUE(mem.ok);
+  EXPECT_TRUE(mem.cached);
+  EXPECT_EQ(mem.body, plain.body);
+  EXPECT_FALSE(fs::exists(root / "mem"));
+  fs::remove_all(root);
+}
+
 TEST(ServeEndToEnd, StoppedServerRejectsAsShuttingDown) {
   ServerOptions options = small_server_options();
   options.unix_path =
@@ -788,6 +893,23 @@ TEST(ServeSocket, ConcurrentIdenticalRequestsExecuteOnceAndMatch) {
 
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(options.unix_path));
+}
+
+TEST(ServeSocket, RepeatedStartStopJoinsCleanly) {
+  // stop() resets the listener members while freshly started accept
+  // threads may still be reading their fds; under TSan this loop covers
+  // that handoff.
+  ServerOptions options = small_server_options();
+  options.unix_path =
+      (std::filesystem::temp_directory_path() /
+       ("glva-test-restart-" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  Server server(options);
+  for (int i = 0; i < 20; ++i) {
+    server.start();
+    server.stop();
+    EXPECT_FALSE(std::filesystem::exists(options.unix_path)) << i;
+  }
 }
 
 TEST(ServeSocket, OversizeFrameGetsProtocolErrorAndHangup) {

@@ -1,7 +1,7 @@
 // Tests for the store/ streaming trace I/O subsystem: the TraceSink
 // contract, the .glvt spill format (round-trip fuzz, golden bytes, error
-// paths), fused sampler→ADC digitization, and the bit-identity of the
-// three sink kinds through the full experiment pipeline.
+// paths), fused sampler→ADC digitization, and the acquisition seam held
+// to the trace-path oracle under every archive spelling and backend.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +19,16 @@
 #include <vector>
 
 #include "circuits/circuit_repository.h"
+#include "core/acquire.h"
 #include "core/adc.h"
 #include "core/ensemble.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "core/threshold_sweep.h"
 #include "fuzz_util.h"
+#include "props/check.h"
+#include "props/parser.h"
+#include "props/reference.h"
 #include "sim/trace.h"
 #include "sim/virtual_lab.h"
 #include "store/digitizing_sink.h"
@@ -1013,36 +1017,155 @@ TEST(Replay, ChunkReplayOfGoldenFileIsByteIdentical) {
       << "block-path chunk replay drifted from the golden .glvt bytes";
 }
 
-// ------------------------------------------- experiment-level bit-identity
+// ------------------------------------- acquisition vs the trace-path oracle
 
-TEST(ExperimentSinks, AllThreeSinksProduceBitIdenticalAnalyses) {
-  const auto spec = circuits::CircuitRepository::build("myers_and");
-  core::ExperimentConfig config;
-  config.total_time = 400.0;
-  config.seed = 11;
+/// One spelling of an experiment's acquisition: what --sink archives, the
+/// analysis backend, and the worker count.
+struct AcquisitionCase {
+  store::SinkKind sink;
+  core::AnalysisBackend backend;
+  std::size_t jobs;
+};
 
-  const auto memory = core::run_experiment(spec, config);
+std::string case_label(const AcquisitionCase& c) {
+  return std::string(store::sink_kind_name(c.sink)) + "-" +
+         core::analysis_backend_name(c.backend) + "-j" +
+         std::to_string(c.jobs);
+}
 
-  config.sink = store::SinkKind::kSpill;
-  config.spill_dir = (fs::path(::testing::TempDir()) / "exp_spill").string();
-  const auto spill = core::run_experiment(spec, config);
+std::size_t glvt_count(const fs::path& dir) {
+  std::size_t files = 0;
+  if (!fs::exists(dir)) return 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files += entry.path().extension() == ".glvt" ? 1 : 0;
+  }
+  return files;
+}
 
-  config.sink = store::SinkKind::kDigitize;
-  const auto digitize = core::run_experiment(spec, config);
+/// The check oracle: the reference evaluator over the digitized trace,
+/// reduced to the per-replicate totals props::run_check reports.
+void expect_check_matches_trace(const props::CheckReplicate& actual,
+                                const sim::Trace& trace,
+                                const circuits::CircuitSpec& spec,
+                                double threshold,
+                                const std::vector<props::PropertyPtr>& properties) {
+  const core::DigitalData data =
+      core::digitize(trace, spec.input_ids, spec.output_id, threshold);
+  props::NamedPlanes planes;
+  planes.names = core::plane_names(spec);
+  planes.planes = data.inputs;
+  planes.planes.push_back(data.output);
+  EXPECT_EQ(actual.sample_count, data.sample_count());
+  ASSERT_EQ(actual.properties.size(), properties.size());
+  for (std::size_t i = 0; i < properties.size(); ++i) {
+    const std::vector<bool> verdict =
+        props::evaluate_reference(*properties[i], planes);
+    const auto violation = static_cast<std::size_t>(
+        std::find(verdict.begin(), verdict.end(), false) - verdict.begin());
+    EXPECT_EQ(actual.properties[i].samples, verdict.size());
+    EXPECT_EQ(actual.properties[i].satisfied,
+              static_cast<std::size_t>(
+                  std::count(verdict.begin(), verdict.end(), true)));
+    EXPECT_EQ(actual.properties[i].first_violation,
+              violation == verdict.size() ? props::kNoViolation : violation);
+  }
+}
 
-  expect_extractions_identical(memory.extraction, spill.extraction);
-  expect_extractions_identical(memory.extraction, digitize.extraction);
-  EXPECT_EQ(memory.verification.matches, spill.verification.matches);
-  EXPECT_EQ(memory.verification.matches, digitize.verification.matches);
-  EXPECT_EQ(memory.verification.wrong_state_count(),
-            digitize.verification.wrong_state_count());
+TEST(Acquisition, EverySpellingMatchesTheTracePathOracle) {
+  const auto spec = circuits::CircuitRepository::build("0x1");
+  const std::vector<props::PropertyPtr> properties = {
+      props::parse_property("G (A -> F[0,30] GFP)"),
+      props::parse_property("noglitch[3] GFP")};
+  constexpr std::size_t kReplicates = 2;
 
-  // The spill path re-materializes the identical trace and leaves the
-  // .glvt behind; the digitize path never materializes one.
-  expect_traces_identical(memory.sweep.trace, spill.sweep.trace);
-  EXPECT_EQ(digitize.sweep.trace.sample_count(), 0u);
-  EXPECT_TRUE(fs::exists(fs::path(config.spill_dir) /
-                         (spec.name + "-s11.glvt")));
+  std::vector<AcquisitionCase> cases;
+  for (const auto sink : {store::SinkKind::kMemory, store::SinkKind::kSpill,
+                          store::SinkKind::kDigitize}) {
+    for (const auto backend : {core::AnalysisBackend::kPacked,
+                               core::AnalysisBackend::kReference}) {
+      for (const std::size_t jobs : {1u, 4u}) {
+        cases.push_back({sink, backend, jobs});
+      }
+    }
+  }
+
+  for (const AcquisitionCase& c : cases) {
+    SCOPED_TRACE(case_label(c));
+    core::ExperimentConfig config;
+    config.total_time = 400.0;
+    config.seed = 11;
+    config.sink = c.sink;
+    config.backend = c.backend;
+    config.spill_dir = temp_path("acquire_" + case_label(c)).string();
+    fs::remove_all(config.spill_dir);
+
+    // A single experiment, then an ensemble and a check over the same
+    // replicates: ensemble and check name their archives alike, so the
+    // check rewrites the ensemble's files instead of adding to them.
+    const core::ExperimentResult single = core::run_experiment(spec, config);
+    std::vector<core::ExperimentResult> replicates;
+    static_cast<void>(core::run_ensemble(
+        spec, config, kReplicates, c.jobs,
+        [&](std::size_t, const core::ExperimentResult& result) {
+          replicates.push_back(result);
+        }));
+    std::vector<props::CheckReplicate> checks;
+    static_cast<void>(props::run_check(
+        spec, config, properties, kReplicates, c.jobs,
+        [&](std::size_t, const props::CheckReplicate& replicate) {
+          checks.push_back(replicate);
+        }));
+    ASSERT_EQ(replicates.size(), kReplicates);
+    ASSERT_EQ(checks.size(), kReplicates);
+
+    // Exactly one .glvt per replicate, under the historical names.
+    const bool archives = c.sink != store::SinkKind::kMemory;
+    EXPECT_EQ(glvt_count(config.spill_dir), archives ? kReplicates + 1 : 0);
+
+    std::vector<std::pair<core::ExperimentResult, std::string>> runs = {
+        {single, spec.name + "-s11.glvt"}};
+    for (std::size_t r = 0; r < kReplicates; ++r) {
+      runs.emplace_back(replicates[r],
+                        spec.name + "-s11-r" + std::to_string(r) + ".glvt");
+    }
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const auto& [result, archive_name] = runs[k];
+      SCOPED_TRACE(archive_name);
+      // The oracle runs the trace path on the same seed, archiving
+      // nothing so it cannot overwrite the file under test.
+      core::ExperimentConfig oracle_config = result.config;
+      oracle_config.sink = store::SinkKind::kMemory;
+      const sim::SweepResult oracle =
+          core::simulate_trace(spec, oracle_config);
+      const core::ExperimentResult expected =
+          core::reanalyze(spec, oracle_config, oracle);
+      expect_extractions_identical(result.extraction, expected.extraction);
+      EXPECT_EQ(result.verification.wrong_state_count(),
+                expected.verification.wrong_state_count());
+      if (k > 0) {
+        expect_check_matches_trace(checks[k - 1], oracle.trace, spec,
+                                   config.threshold, properties);
+      }
+
+      const fs::path archive = fs::path(config.spill_dir) / archive_name;
+      if (!archives) {
+        EXPECT_FALSE(fs::exists(archive));
+        continue;
+      }
+      ASSERT_TRUE(fs::exists(archive));
+      store::SpillReader reader(archive.string());
+      if (c.sink == store::SinkKind::kSpill) {
+        expect_traces_identical(reader.read_all(), oracle.trace);
+      } else {
+        const core::PackedDigitalData planes = core::load_digitized(
+            reader, spec.input_ids.size(), config.threshold);
+        const core::PackedDigitalData want = core::digitize_packed(
+            oracle.trace, spec.input_ids, spec.output_id, config.threshold);
+        EXPECT_EQ(planes.inputs, want.inputs);
+        EXPECT_EQ(planes.output, want.output);
+      }
+    }
+  }
 }
 
 TEST(ExperimentSinks, SpillRequiresDirectory) {
@@ -1053,13 +1176,16 @@ TEST(ExperimentSinks, SpillRequiresDirectory) {
   EXPECT_THROW((void)core::run_experiment(spec, config), InvalidArgument);
 }
 
-TEST(ExperimentSinks, DigitizeRejectsReferenceBackend) {
+TEST(ExperimentSinks, DigitizeWithReferenceBackendMatchesPacked) {
   const auto spec = circuits::CircuitRepository::build("myers_not");
   core::ExperimentConfig config;
   config.total_time = 100.0;
   config.sink = store::SinkKind::kDigitize;
+  const auto packed = core::run_experiment(spec, config);
   config.backend = core::AnalysisBackend::kReference;
-  EXPECT_THROW((void)core::run_experiment(spec, config), InvalidArgument);
+  const auto reference = core::run_experiment(spec, config);
+  expect_extractions_identical(packed.extraction, reference.extraction);
+  EXPECT_EQ(packed.verification.matches, reference.verification.matches);
 }
 
 TEST(ExperimentSinks, EnsembleSpillIsJobCountInvariantWithPerReplicateFiles) {
