@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <utility>
 
+#include "circuits/circuit_repository.h"
 #include "crn/network.h"
 #include "sbml/model.h"
 #include "sim/indexed_priority_queue.h"
@@ -325,6 +330,96 @@ TEST(Simulator, RejectsBadArguments) {
   // Clamping a non-boundary species is an error.
   const auto schedule = InputSchedule::constant({"X"}, {5.0});
   EXPECT_THROW((void)simulator.run(net, schedule, 10.0, {}), InvalidArgument);
+}
+
+// ------------------------------------------------ trajectory fingerprints
+
+/// FNV-1a 64 over the IEEE-754 bit pattern of every species at every
+/// sample, row by row (bytes little-endian): one propensity that differs
+/// in one bit and moves one event changes it.
+std::uint64_t trace_fingerprint(const Trace& trace) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (std::size_t k = 0; k < trace.sample_count(); ++k) {
+    for (std::size_t s = 0; s < trace.species_count(); ++s) {
+      const auto bits = std::bit_cast<std::uint64_t>(trace.series(s)[k]);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xFFu;
+        hash *= 1099511628211ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+/// Exact trajectories of the whole catalog under every kernel, at the
+/// paper's sweep (10^4 time units, inputs at 15 molecules, 1-unit
+/// sampling) and seed 7. Any change to the SSA kernels, the propensity
+/// path or the expression interpreter must keep every one of these; the
+/// statistical tests above cannot see a changed sample path.
+struct TrajectoryPin {
+  const char* circuit;
+  std::uint64_t direct;
+  std::uint64_t next_reaction;
+  std::uint64_t tau_leap;
+};
+
+constexpr TrajectoryPin kTrajectoryPins[] = {
+    {"myers_not", 0xba933d98212f50d3ULL, 0x34ac24c9e3bc0e25ULL,
+     0xba933d98212f50d3ULL},
+    {"myers_and", 0x601605fbcc3ff6b6ULL, 0xd7e0c627a9f4c549ULL,
+     0x3145bc10d0532ed5ULL},
+    {"myers_nand", 0x8b6ceb4c38e4f7f7ULL, 0x8898e8161108da71ULL,
+     0xaa7d8fc2e7e30185ULL},
+    {"myers_or", 0x8d28d157136c7ea3ULL, 0x1ed07aaec3bd6925ULL,
+     0x8d28d157136c7ea3ULL},
+    {"myers_nor", 0xe70aa7cb4e25b972ULL, 0x870c77ab494f07b1ULL,
+     0xe70aa7cb4e25b972ULL},
+    {"0x1", 0x6eeab046877ee425ULL, 0x3b70abf717b7b02eULL,
+     0x6eeab046877ee425ULL},
+    {"0x6", 0xcb0244dc60aecf31ULL, 0xeb181251c5d82507ULL,
+     0x3ba7d0e88a04891dULL},
+    {"0x8", 0xdee301535cb753e7ULL, 0x4704fee469f34803ULL,
+     0xdee301535cb753e7ULL},
+    {"0xE", 0x74a1d28cc7b210b5ULL, 0x1db057b07dacc4a5ULL,
+     0x74a1d28cc7b210b5ULL},
+    {"0x04", 0xaebf272fcb5777d1ULL, 0xc8c2eadfff66aec7ULL,
+     0xcd40f599160a07bcULL},
+    {"0x0B", 0x2890ca1d7bdc070eULL, 0x5b2c5af58085b525ULL,
+     0x2890ca1d7bdc070eULL},
+    {"0x14", 0xfcefa787bc46fdf4ULL, 0x6a44a45e16829a3dULL,
+     0xc24c8da478d70b49ULL},
+    {"0x17", 0x7b7d9b451d0f74c6ULL, 0xe07541be7897731dULL,
+     0xd5457349f8b5762fULL},
+    {"0x1C", 0x0cd61bbb3b982236ULL, 0x6c01de39e66a6c9fULL,
+     0x0cd61bbb3b982236ULL},
+    {"0x80", 0x8152c8666d5c9017ULL, 0xa6062c4547efc8b4ULL,
+     0x81975a04d5b9b6c5ULL},
+};
+
+TEST(Simulator, CatalogTrajectoriesAreBitIdentical) {
+  const auto names = circuits::CircuitRepository::names();
+  ASSERT_EQ(names.size(), std::size(kTrajectoryPins));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const TrajectoryPin& pin = kTrajectoryPins[i];
+    ASSERT_EQ(names[i], pin.circuit) << "table out of catalog order";
+    const auto spec = circuits::CircuitRepository::build(pin.circuit);
+    const std::pair<SsaMethod, std::uint64_t> expected[] = {
+        {SsaMethod::kDirect, pin.direct},
+        {SsaMethod::kNextReaction, pin.next_reaction},
+        {SsaMethod::kTauLeap, pin.tau_leap},
+    };
+    for (const auto& [method, fingerprint] : expected) {
+      LabOptions options;
+      options.seed = 7;
+      options.method = method;
+      VirtualLab lab(spec.model, options);
+      lab.declare_inputs(spec.input_ids);
+      const auto sweep = lab.run_combination_sweep(10000.0, 15.0);
+      EXPECT_EQ(trace_fingerprint(sweep.trace), fingerprint)
+          << pin.circuit << " under " << make_simulator(method)->name()
+          << ": got 0x" << std::hex << trace_fingerprint(sweep.trace);
+    }
+  }
 }
 
 // -------------------------------------------------------------------- ODE
