@@ -491,7 +491,7 @@ int cmd_estimate(const std::string& name, const std::vector<std::string>& args,
   }
   const auto spec = circuits::CircuitRepository::build(name);
   sim::LabOptions options;
-  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  options.seed = cli.get_uint("seed");
   sim::VirtualLab lab(spec.model, options);
   lab.declare_inputs(spec.input_ids);
 

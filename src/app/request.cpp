@@ -47,7 +47,7 @@ core::ExperimentConfig config_from(const util::CliParser& cli) {
   config.fov_ud = cli.get_double("fov-ud");
   config.total_time = cli.get_double("total-time");
   config.sampling_period = cli.get_double("sampling-period");
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  config.seed = cli.get_uint("seed");
   config.method = sim::parse_ssa_method(cli.get("method"));
   config.backend = core::parse_analysis_backend(cli.get("backend"));
   config.sink = store::parse_sink_kind(cli.get("sink"));

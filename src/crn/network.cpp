@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -152,7 +153,9 @@ double ReactionNetwork::propensity(std::size_t r,
     if (values[req.species] < req.delta) return 0.0;
   }
   const double a = reaction.propensity.evaluate(values);
-  if (!(a >= 0.0)) {  // catches negatives and NaN in one test
+  // One test for negatives, NaN and +inf: an infinite propensity would
+  // draw zero waiting times forever.
+  if (!(a >= 0.0 && a < std::numeric_limits<double>::infinity())) {
     throw SimulationError("reaction '" + reaction.id +
                           "' produced an invalid propensity " +
                           std::to_string(a));

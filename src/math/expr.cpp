@@ -259,7 +259,31 @@ CompiledExpr::CompiledExpr(
   std::sort(dependencies_.begin(), dependencies_.end());
   dependencies_.erase(std::unique(dependencies_.begin(), dependencies_.end()),
                       dependencies_.end());
-  stack_.reserve(program_.size());
+  // Replay the program's stack effects once; evaluate() sizes its operand
+  // buffer from the deepest point.
+  std::size_t depth = 0;
+  for (const Instruction& inst : program_) {
+    switch (inst.code) {
+      case OpCode::kPushConst:
+      case OpCode::kPushVar:
+        ++depth;
+        break;
+      case OpCode::kNeg:
+      case OpCode::kCall1:
+        break;
+      case OpCode::kAdd:
+      case OpCode::kSub:
+      case OpCode::kMul:
+      case OpCode::kDiv:
+      case OpCode::kPow:
+        --depth;
+        break;
+      case OpCode::kCallN:
+        depth -= inst.index - 1;
+        break;
+    }
+    stack_depth_ = std::max(stack_depth_, depth);
+  }
 }
 
 void CompiledExpr::compile(
@@ -308,52 +332,52 @@ void CompiledExpr::compile(
 }
 
 double CompiledExpr::evaluate(const std::vector<double>& values) const {
-  stack_.clear();
+  // Every slot is written before it is read, so neither buffer is cleared.
+  double local[kLocalStackDepth];
+  double* stack = local;
+  if (stack_depth_ > kLocalStackDepth) {
+    // evaluate() never re-enters itself, so one buffer per thread serves
+    // every deeper program and grows at most to the deepest one.
+    thread_local std::vector<double> overflow;
+    if (overflow.size() < stack_depth_) overflow.resize(stack_depth_);
+    stack = overflow.data();
+  }
+  std::size_t top = 0;  // operands on the stack; stack[top - 1] is the top
   for (const Instruction& inst : program_) {
     switch (inst.code) {
       case OpCode::kPushConst:
-        stack_.push_back(constants_[inst.index]);
+        stack[top++] = constants_[inst.index];
         break;
       case OpCode::kPushVar:
-        stack_.push_back(values[inst.index]);
+        stack[top++] = values[inst.index];
         break;
       case OpCode::kNeg:
-        stack_.back() = -stack_.back();
+        stack[top - 1] = -stack[top - 1];
         break;
-      case OpCode::kAdd: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() += b;
+      case OpCode::kAdd:
+        --top;
+        stack[top - 1] += stack[top];
         break;
-      }
-      case OpCode::kSub: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() -= b;
+      case OpCode::kSub:
+        --top;
+        stack[top - 1] -= stack[top];
         break;
-      }
-      case OpCode::kMul: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() *= b;
+      case OpCode::kMul:
+        --top;
+        stack[top - 1] *= stack[top];
         break;
-      }
-      case OpCode::kDiv: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() /= b;
+      case OpCode::kDiv:
+        --top;
+        stack[top - 1] /= stack[top];
         break;
-      }
-      case OpCode::kPow: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() = std::pow(stack_.back(), b);
+      case OpCode::kPow:
+        --top;
+        stack[top - 1] = std::pow(stack[top - 1], stack[top]);
         break;
-      }
       case OpCode::kCall1: {
         // Inline unary dispatch: this path runs per SSA step, so it must not
         // allocate.
-        double& x = stack_.back();
+        double& x = stack[top - 1];
         switch (inst.aux) {
           case Function::kExp: x = std::exp(x); break;
           case Function::kLn: x = std::log(x); break;
@@ -368,30 +392,27 @@ double CompiledExpr::evaluate(const std::vector<double>& values) const {
       }
       case OpCode::kCallN: {
         const std::size_t argc = inst.index;
+        const double* args = stack + (top - argc);
         double result = 0.0;
         if (inst.aux == Function::kHill) {
-          const double n = stack_[stack_.size() - 1];
-          const double k = stack_[stack_.size() - 2];
-          const double x = stack_[stack_.size() - 3];
-          const double xn = std::pow(x, n);
-          const double kn = std::pow(k, n);
+          const double xn = std::pow(args[0], args[2]);
+          const double kn = std::pow(args[1], args[2]);
           const double denom = kn + xn;
           result = denom > 0.0 ? xn / denom : 0.0;
         } else {
-          result = stack_[stack_.size() - argc];
+          result = args[0];
           for (std::size_t i = 1; i < argc; ++i) {
-            const double v = stack_[stack_.size() - argc + i];
-            result = inst.aux == Function::kMin ? std::min(result, v)
-                                                : std::max(result, v);
+            result = inst.aux == Function::kMin ? std::min(result, args[i])
+                                                : std::max(result, args[i]);
           }
         }
-        stack_.resize(stack_.size() - argc);
-        stack_.push_back(result);
+        top -= argc;
+        stack[top++] = result;
         break;
       }
     }
   }
-  return stack_.empty() ? 0.0 : stack_.back();
+  return top == 0 ? 0.0 : stack[top - 1];
 }
 
 }  // namespace glva::math

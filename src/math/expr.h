@@ -105,9 +105,22 @@ public:
 
   CompiledExpr() = default;
 
+  /// Operand-stack depth evaluate() keeps in a local buffer (every
+  /// gate-library law needs at most 7); deeper programs use a per-thread
+  /// heap buffer that is reused across calls.
+  static constexpr std::size_t kLocalStackDepth = 16;
+
   /// Evaluate against `values`, where `values[i]` binds the symbol that
-  /// compiled to index i. No allocation; reuses an internal stack.
+  /// compiled to index i. Touches no member state, so one compiled
+  /// expression may be evaluated from many threads at once. Allocates
+  /// only when a thread first meets a program deeper than any it has
+  /// evaluated and deeper than kLocalStackDepth.
   [[nodiscard]] double evaluate(const std::vector<double>& values) const;
+
+  /// Most operands the program holds on its stack at once.
+  [[nodiscard]] std::size_t stack_depth() const noexcept {
+    return stack_depth_;
+  }
 
   /// Indices of all symbols the expression reads (sorted, unique) — used to
   /// build reaction dependency graphs.
@@ -140,7 +153,7 @@ private:
   std::vector<Instruction> program_;
   std::vector<double> constants_;
   std::vector<std::size_t> dependencies_;
-  mutable std::vector<double> stack_;
+  std::size_t stack_depth_ = 0;
 };
 
 }  // namespace glva::math

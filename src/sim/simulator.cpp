@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sim/propensity_memo.h"
 #include "sim/ssa_direct.h"
 #include "sim/ssa_next_reaction.h"
 #include "sim/ssa_tau_leap.h"
@@ -104,6 +105,7 @@ void StochasticSimulator::run_into(const crn::ReactionNetwork& network,
     throw InvalidArgument("input schedule must cover t=0");
   }
 
+  PropensityMemo memo(network);
   double t = 0.0;
   std::size_t phase = 0;
   while (t < duration) {
@@ -113,11 +115,13 @@ void StochasticSimulator::run_into(const crn::ReactionNetwork& network,
       for (std::size_t i = 0; i < input_indices.size(); ++i) {
         values[input_indices[i]] = phases[phase].levels[i];
       }
+      memo.reset();  // the clamps are the only boundary-species writes
       if (phase + 1 < phases.size()) {
         t_next = std::min(duration, phases[phase + 1].start_time);
       }
     }
-    simulate_interval(network, values, t, t_next, rng, sampler);
+    simulate_interval(network, values, t, t_next, rng, sampler, memo);
+    memo.publish_counters();
     t = t_next;
     ++phase;
   }

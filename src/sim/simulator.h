@@ -16,6 +16,8 @@ class TraceSink;
 
 namespace glva::sim {
 
+class PropensityMemo;
+
 /// Knobs shared by every simulation algorithm.
 struct SimulationOptions {
   /// Trace sampling period (time units per recorded row). The paper samples
@@ -113,11 +115,12 @@ public:
 protected:
   /// Advance `values` from `t_begin` to `t_end` with no clamp changes,
   /// reporting state to `sampler` before each event. Implemented by each
-  /// algorithm.
+  /// algorithm; every propensity goes through `memo`, which run_into
+  /// resets whenever it writes the clamps.
   virtual void simulate_interval(const crn::ReactionNetwork& network,
                                  std::vector<double>& values, double t_begin,
-                                 double t_end, Rng& rng,
-                                 TraceSampler& sampler) const = 0;
+                                 double t_end, Rng& rng, TraceSampler& sampler,
+                                 PropensityMemo& memo) const = 0;
 };
 
 /// Algorithm registry (for CLI/bench selection by name).

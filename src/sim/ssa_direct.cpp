@@ -3,18 +3,20 @@
 #include <cmath>
 
 #include "obs/metrics.h"
+#include "sim/propensity_memo.h"
 
 namespace glva::sim {
 
 void DirectMethod::simulate_interval(const crn::ReactionNetwork& network,
                                      std::vector<double>& values,
                                      double t_begin, double t_end, Rng& rng,
-                                     TraceSampler& sampler) const {
+                                     TraceSampler& sampler,
+                                     PropensityMemo& memo) const {
   const std::size_t m = network.reaction_count();
   std::vector<double> propensities(m);
   double total = 0.0;
   for (std::size_t r = 0; r < m; ++r) {
-    propensities[r] = network.propensity(r, values);
+    propensities[r] = memo.propensity(r, values);
     total += propensities[r];
   }
 
@@ -41,7 +43,7 @@ void DirectMethod::simulate_interval(const crn::ReactionNetwork& network,
 
     // Update only the reactions whose propensity can have changed.
     for (std::size_t affected : network.affected_reactions(j)) {
-      const double fresh = network.propensity(affected, values);
+      const double fresh = memo.propensity(affected, values);
       total += fresh - propensities[affected];
       propensities[affected] = fresh;
     }

@@ -5,14 +5,15 @@
 
 #include "obs/metrics.h"
 #include "sim/indexed_priority_queue.h"
+#include "sim/propensity_memo.h"
 
 namespace glva::sim {
 
 void NextReactionMethod::simulate_interval(const crn::ReactionNetwork& network,
                                            std::vector<double>& values,
                                            double t_begin, double t_end,
-                                           Rng& rng,
-                                           TraceSampler& sampler) const {
+                                           Rng& rng, TraceSampler& sampler,
+                                           PropensityMemo& memo) const {
   const std::size_t m = network.reaction_count();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -22,7 +23,7 @@ void NextReactionMethod::simulate_interval(const crn::ReactionNetwork& network,
   std::vector<double> propensities(m);
   IndexedPriorityQueue queue(m);
   for (std::size_t r = 0; r < m; ++r) {
-    propensities[r] = network.propensity(r, values);
+    propensities[r] = memo.propensity(r, values);
     queue.update(r, propensities[r] > 0.0
                         ? t_begin + rng.exponential(propensities[r])
                         : kInf);
@@ -39,7 +40,7 @@ void NextReactionMethod::simulate_interval(const crn::ReactionNetwork& network,
 
     for (std::size_t affected : network.affected_reactions(j)) {
       const double old_propensity = propensities[affected];
-      const double fresh = network.propensity(affected, values);
+      const double fresh = memo.propensity(affected, values);
       propensities[affected] = fresh;
       if (affected == j) continue;  // handled below with a fresh draw
       const double old_time = queue.value(affected);

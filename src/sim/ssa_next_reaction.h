@@ -16,8 +16,8 @@ public:
 protected:
   void simulate_interval(const crn::ReactionNetwork& network,
                          std::vector<double>& values, double t_begin,
-                         double t_end, Rng& rng,
-                         TraceSampler& sampler) const override;
+                         double t_end, Rng& rng, TraceSampler& sampler,
+                         PropensityMemo& memo) const override;
 };
 
 }  // namespace glva::sim

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/metrics.h"
+#include "sim/propensity_memo.h"
 
 namespace glva::sim {
 
@@ -14,13 +15,13 @@ namespace {
 /// `max_steps` events or until `t_end`. Returns the new time. Each event
 /// is counted into `fired` (one step, one firing).
 double exact_steps(const crn::ReactionNetwork& network,
-                   std::vector<double>& values, double t, double t_end,
-                   Rng& rng, TraceSampler& sampler, std::size_t max_steps,
-                   std::uint64_t& fired) {
+                   PropensityMemo& memo, std::vector<double>& values,
+                   double t, double t_end, Rng& rng, TraceSampler& sampler,
+                   std::size_t max_steps, std::uint64_t& fired) {
   const std::size_t m = network.reaction_count();
   for (std::size_t step = 0; step < max_steps; ++step) {
     double total = 0.0;
-    for (std::size_t r = 0; r < m; ++r) total += network.propensity(r, values);
+    for (std::size_t r = 0; r < m; ++r) total += memo.propensity(r, values);
     if (total <= 0.0) return t_end;
     const double tau = rng.exponential(total);
     if (t + tau >= t_end) return t_end;
@@ -29,7 +30,7 @@ double exact_steps(const crn::ReactionNetwork& network,
     double target = rng.uniform() * total;
     std::size_t j = 0;
     for (; j + 1 < m; ++j) {
-      const double a = network.propensity(j, values);
+      const double a = memo.propensity(j, values);
       if (target < a) break;
       target -= a;
     }
@@ -44,7 +45,8 @@ double exact_steps(const crn::ReactionNetwork& network,
 void TauLeaping::simulate_interval(const crn::ReactionNetwork& network,
                                    std::vector<double>& values, double t_begin,
                                    double t_end, Rng& rng,
-                                   TraceSampler& sampler) const {
+                                   TraceSampler& sampler,
+                                   PropensityMemo& memo) const {
   const std::size_t m = network.reaction_count();
   const std::size_t n = network.species_count();
   std::vector<double> propensities(m);
@@ -59,7 +61,7 @@ void TauLeaping::simulate_interval(const crn::ReactionNetwork& network,
   while (t < t_end) {
     double total = 0.0;
     for (std::size_t r = 0; r < m; ++r) {
-      propensities[r] = network.propensity(r, values);
+      propensities[r] = memo.propensity(r, values);
       total += propensities[r];
     }
     if (total <= 0.0) break;
@@ -85,7 +87,8 @@ void TauLeaping::simulate_interval(const crn::ReactionNetwork& network,
     // Degenerate leap: cheaper to take exact steps.
     if (tau < 10.0 / total) {
       std::uint64_t fired = 0;
-      t = exact_steps(network, values, t, t_end, rng, sampler, 128, fired);
+      t = exact_steps(network, memo, values, t, t_end, rng, sampler, 128,
+                      fired);
       local_steps += fired;
       local_firings += fired;
       continue;
@@ -121,7 +124,8 @@ void TauLeaping::simulate_interval(const crn::ReactionNetwork& network,
     }
     if (!accepted) {
       std::uint64_t fired = 0;
-      t = exact_steps(network, values, t, t_end, rng, sampler, 128, fired);
+      t = exact_steps(network, memo, values, t, t_end, rng, sampler, 128,
+                      fired);
       local_steps += fired;
       local_firings += fired;
       continue;

@@ -70,6 +70,16 @@ long long CliParser::get_int(const std::string& name) const {
   return *v;
 }
 
+std::uint64_t CliParser::get_uint(const std::string& name) const {
+  const long long v = get_int(name);
+  if (v < 0) {
+    throw InvalidArgument("option --" + name +
+                          " expects a non-negative integer, got " +
+                          std::to_string(v));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 bool CliParser::get_flag(const std::string& name) const {
   return get(name) == "true";
 }

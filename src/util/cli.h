@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,6 +27,9 @@ public:
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
+  /// get_int() that also throws glva::InvalidArgument, naming the option,
+  /// for a negative value (which a cast would wrap to a huge one).
+  [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
   /// Positional (non-option) arguments in order of appearance.

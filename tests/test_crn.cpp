@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "circuits/circuit_repository.h"
 #include "crn/network.h"
 #include "sbml/model.h"
+#include "sim/virtual_lab.h"
 #include "util/errors.h"
 
 namespace {
@@ -107,6 +114,68 @@ TEST(Network, NegativePropensityThrows) {
   const auto net = ReactionNetwork::compile(m);
   const auto values = net.initial_values();
   EXPECT_THROW((void)net.propensity(0, values), SimulationError);
+}
+
+TEST(Network, InfinitePropensityThrows) {
+  sbml::Model m;
+  m.add_compartment("cell");
+  m.add_species("S", 0.0);
+  m.add_species("P", 0.0);
+  m.add_parameter("k", 1.0);
+  m.add_reaction("inverse", {}, {{"P", 1.0}}, "k / S",
+                 {sbml::ModifierReference{"S"}});
+  const auto net = ReactionNetwork::compile(m);
+  auto values = net.initial_values();
+  try {
+    (void)net.propensity(0, values);
+    ADD_FAILURE() << "k / 0 must not pass as a propensity";
+  } catch (const SimulationError& e) {
+    EXPECT_NE(std::string(e.what()).find("inverse"), std::string::npos);
+  }
+  values[net.species_index("S")] = 4.0;
+  EXPECT_DOUBLE_EQ(net.propensity(0, values), 0.25);
+}
+
+TEST(Network, PropensitiesEvaluateConcurrently) {
+  // One compiled network shared by several simulation threads: evaluate
+  // must not touch shared scratch state.
+  const auto spec = circuits::CircuitRepository::build("0x17");
+  sim::VirtualLab lab(spec.model);
+  lab.declare_inputs(spec.input_ids);
+  const ReactionNetwork& net = lab.network();
+  const auto state = [&](int seed) {
+    auto values = net.initial_values();
+    for (std::size_t s = 0; s < net.species_count(); ++s) {
+      const int count = (seed * 7 + static_cast<int>(s) * 3) % 40;
+      values[s] = static_cast<double>(count);
+    }
+    return values;
+  };
+  constexpr int kStates = 64;
+  std::vector<std::vector<double>> expected(kStates);
+  for (int seed = 0; seed < kStates; ++seed) {
+    const auto values = state(seed);
+    for (std::size_t r = 0; r < net.reaction_count(); ++r) {
+      expected[seed].push_back(net.propensity(r, values));
+    }
+  }
+
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 200; ++round) {
+        const int seed = (round + t * 17) % kStates;
+        const auto values = state(seed);
+        for (std::size_t r = 0; r < net.reaction_count(); ++r) {
+          if (net.propensity(r, values) != expected[seed][r]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(Network, DependencyGraphLinksWritersToReaders) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "math/expr.h"
 #include "math/expr_parser.h"
@@ -151,6 +152,37 @@ TEST(CompiledExpr, TracksDependencies) {
   };
   const CompiledExpr compiled(*parse_expression("a * 2 + hill(b, b, 2)"), index);
   EXPECT_EQ(compiled.dependencies(), (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(CompiledExpr, LawsDeeperThanTheLocalStackStillEvaluate) {
+  const auto index = [](const std::string&) -> std::size_t { return 0; };
+  // "1 + (2 + (3 + ...))" pushes every operand before the first add.
+  const auto nested_sum = [](int terms) {
+    std::string text = "x";
+    for (int term = terms; term >= 1; --term) {
+      text = std::to_string(term) + " + (" + text + ")";
+    }
+    return parse_expression(text);
+  };
+  const Environment env{{"x", 0.5}};
+  constexpr int kTerms = 3 * static_cast<int>(CompiledExpr::kLocalStackDepth);
+  const auto expr = nested_sum(kTerms);
+  const CompiledExpr compiled(*expr, index);
+  EXPECT_EQ(compiled.stack_depth(), static_cast<std::size_t>(kTerms) + 1);
+  EXPECT_EQ(compiled.evaluate({0.5}), evaluate(*expr, env));
+  // A second deep program, shallower and then deeper than the first,
+  // shares the thread's overflow buffer with it.
+  for (const int terms : {kTerms - 7, 2 * kTerms}) {
+    const auto other = nested_sum(terms);
+    EXPECT_EQ(CompiledExpr(*other, index).evaluate({0.5}),
+              evaluate(*other, env))
+        << terms;
+    EXPECT_EQ(compiled.evaluate({0.5}), evaluate(*expr, env)) << terms;
+  }
+
+  const CompiledExpr hill(*parse_expression("1 - hill(x, 5, 2)"), index);
+  EXPECT_EQ(hill.stack_depth(), 4u);
+  EXPECT_EQ(CompiledExpr().evaluate({}), 0.0);
 }
 
 TEST(CompiledExpr, UnknownSymbolFailsAtCompileTime) {

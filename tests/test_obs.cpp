@@ -215,8 +215,9 @@ TEST(Metrics, ScopedLatencyObservesOnDestruction) {
   {
     const obs::ScopedLatency latency(h);
   }
+  const obs::Snapshot snap = obs::snapshot();  // outlives `sample`
   const obs::HistogramSample* sample =
-      find_histogram(obs::snapshot(), "test.obs.hist.scoped");
+      find_histogram(snap, "test.obs.hist.scoped");
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count, 1u);
 }

@@ -21,6 +21,8 @@
 #include "app/commands.h"
 #include "app/request.h"
 #include "obs/metrics.h"
+#include "sbml/model.h"
+#include "sbml/writer.h"
 #include "serve/admission.h"
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
@@ -714,6 +716,7 @@ TEST(ServeEndToEnd, NonFiniteOrNonPositiveConfigFailsFastEverywhere) {
       {"--sampling-period", "-1", "sampling_period"},
       {"--threshold", "nan", "threshold"},
       {"--threshold", "inf", "threshold"},
+      {"--seed", "-1", "seed"},
   };
   // Each case must be refused before anything simulates: far below this
   // bound, where a hang or a paper-scale run would be far above it.
@@ -742,6 +745,39 @@ TEST(ServeEndToEnd, NonFiniteOrNonPositiveConfigFailsFastEverywhere) {
       EXPECT_LT(std::chrono::steady_clock::now() - start, kBound) << label;
     }
   }
+
+  // A valid config whose model has an infinite propensity (k / S at
+  // S = 0) must fail at the first evaluation, not spin on zero waiting
+  // times.
+  glva::sbml::Model model;
+  model.add_compartment("cell");
+  model.add_species("A", 0.0);
+  model.add_species("S", 0.0);
+  model.add_species("GFP", 0.0);
+  model.add_parameter("k", 1.0);
+  model.add_reaction("inf_law", {}, {{"GFP", 1.0}}, "k / S",
+                     {glva::sbml::ModifierReference{"S"}});
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("glva-test-inf-law-" + std::to_string(::getpid()) + ".xml"))
+          .string();
+  glva::sbml::write_sbml_file(model, path);
+  const std::vector<std::string> options = {"--inputs", "A", "--output",
+                                            "GFP"};
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::string> args = {"analyze", path};
+  args.insert(args.end(), options.begin(), options.end());
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_cli(args, out, err), 2);
+  EXPECT_NE(err.str().find("inf_law"), std::string::npos) << err.str();
+  const ParsedResponse response = parse_response(
+      server.dispatch(analysis_payload("analyze", path, options)));
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.error_kind, "simulation");
+  EXPECT_EQ(server.admission_stats().active, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kBound);
+  std::filesystem::remove(path);
 }
 
 TEST(ServeEndToEnd, ArchivingRequestsAlwaysExecute) {

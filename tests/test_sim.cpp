@@ -1,9 +1,11 @@
 // Unit tests for glva_sim: RNG, traces, schedules, the indexed priority
 // queue, the three SSA kernels (statistical correctness against analytic
-// results), the ODE reference, and the virtual lab.
+// results, exact trajectories of the catalog), the propensity memo, the
+// ODE reference, and the virtual lab.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,10 +14,12 @@
 
 #include "circuits/circuit_repository.h"
 #include "crn/network.h"
+#include "obs/metrics.h"
 #include "sbml/model.h"
 #include "sim/indexed_priority_queue.h"
 #include "sim/input_schedule.h"
 #include "sim/ode.h"
+#include "sim/propensity_memo.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/ssa_direct.h"
@@ -420,6 +424,209 @@ TEST(Simulator, CatalogTrajectoriesAreBitIdentical) {
           << ": got 0x" << std::hex << trace_fingerprint(sweep.trace);
     }
   }
+}
+
+// -------------------------------------------------------- propensity memo
+
+/// Laws that each produce Y and read their species as modifiers, so no
+/// reactant requirement gates them.
+sbml::Model memo_model() {
+  sbml::Model m;
+  m.add_compartment("cell");
+  for (const char* id : {"X", "Z", "W", "V", "Y"}) m.add_species(id, 0.0);
+  m.add_parameter("k", 0.5);
+  const auto reads = [](std::vector<const char*> ids) {
+    std::vector<sbml::ModifierReference> modifiers;
+    for (const char* id : ids) modifiers.push_back({id});
+    return modifiers;
+  };
+  m.add_reaction("shifted", {}, {{"Y", 1.0}}, "X + 10", reads({"X"}));
+  m.add_reaction("scaled", {}, {{"Y", 1.0}}, "k * X", reads({"X"}));
+  m.add_reaction("saturating", {}, {{"Y", 1.0}}, "1 + hill(X, 5, 2)",
+                 reads({"X"}));
+  m.add_reaction("four_species", {}, {{"Y", 1.0}}, "X + Z + W + V + 1",
+                 reads({"X", "Z", "W", "V"}));
+  m.add_reaction("constant", {}, {{"Y", 1.0}}, "k");
+  m.add_reaction("gated", {}, {{"Y", 1.0}}, "k * (X - 5)", reads({"X"}));
+  return m;
+}
+
+std::uint64_t bits(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST(PropensityMemo, RepeatedCountsAreServedFromTheMemo) {
+  const auto net = crn::ReactionNetwork::compile(memo_model());
+  PropensityMemo memo(net);
+  auto values = net.initial_values();
+  const std::size_t x = net.species_index("X");
+  const std::size_t r = 0;  // shifted
+  for (const double count : {3.0, 4.0, 3.0, 4.0, 3.0}) {
+    values[x] = count;
+    EXPECT_EQ(bits(memo.propensity(r, values)), bits(count + 10.0));
+  }
+  EXPECT_EQ(memo.lookups(), 5u);
+  EXPECT_EQ(memo.evals(), 2u);  // one miss per distinct count
+  memo.publish_counters();
+  EXPECT_EQ(memo.lookups(), 0u);
+  EXPECT_EQ(memo.evals(), 0u);
+}
+
+TEST(PropensityMemo, BypassCasesEvaluateEveryTime) {
+  const auto net = crn::ReactionNetwork::compile(memo_model());
+  const std::size_t x = net.species_index("X");
+  struct Case {
+    const char* label;
+    std::size_t reaction;
+    double primed_x;  // a whole count evaluated first, filling the memo
+    double x;
+  };
+  const double too_large =
+      static_cast<double>(PropensityMemo::kMaxCount) + 1.0;
+  const Case cases[] = {
+      {"fractional", 0, 2.0, 2.5},
+      {"negative", 0, 2.0, -2.0},
+      {"negative zero", 1, 0.0, -0.0},
+      {"NaN", 2, 0.0, std::nan("")},
+      {"beyond the key range", 0, 2.0, too_large},
+      {"more species than the key holds", 3, 2.0, 2.0},
+      {"no mutable dependency", 4, 2.0, 2.0},
+  };
+  for (const Case& c : cases) {
+    PropensityMemo memo(net);
+    auto values = net.initial_values();
+    values[x] = c.primed_x;
+    (void)memo.propensity(c.reaction, values);
+    values[x] = c.x;
+    const std::uint64_t before = memo.evals();
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      EXPECT_EQ(bits(memo.propensity(c.reaction, values)),
+                bits(net.propensity(c.reaction, values)))
+          << c.label;
+    }
+    EXPECT_EQ(memo.evals() - before, 2u) << c.label;
+  }
+}
+
+TEST(PropensityMemo, CollidingKeysStayExact) {
+  const auto net = crn::ReactionNetwork::compile(memo_model());
+  PropensityMemo memo(net);
+  auto values = net.initial_values();
+  const std::size_t x = net.species_index("X");
+  // More distinct counts than a law has slots, so keys must collide.
+  constexpr int kCounts = 600;
+  static_assert(kCounts > static_cast<int>(PropensityMemo::kSlotsPerLaw));
+  static_assert(kCounts <= static_cast<int>(PropensityMemo::kMaxCount));
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int count = 0; count < kCounts; ++count) {
+      const int key = pass == 1 ? kCounts - 1 - count : count;
+      values[x] = static_cast<double>(key);
+      for (const std::size_t r : {0u, 2u}) {  // shifted, saturating
+        ASSERT_EQ(bits(memo.propensity(r, values)),
+                  bits(net.propensity(r, values)));
+      }
+    }
+  }
+  // kSlotsPerLaw slots cannot hold kCounts keys: later passes must have
+  // missed again.
+  EXPECT_GT(memo.evals(), 2u * kCounts);
+}
+
+TEST(PropensityMemo, InvalidLawThrowsOnTheSameEvaluation) {
+  const auto net = crn::ReactionNetwork::compile(memo_model());
+  PropensityMemo memo(net);
+  auto values = net.initial_values();
+  const std::size_t x = net.species_index("X");
+  const std::size_t gated = 5;  // k * (X - 5): negative below 5
+  for (const double count : {9.0, 7.0, 5.0, 4.0, 7.0, 4.0, 6.0, 2.0}) {
+    values[x] = count;
+    bool direct_threw = false;
+    double direct = 0.0;
+    try {
+      direct = net.propensity(gated, values);
+    } catch (const SimulationError&) {
+      direct_threw = true;
+    }
+    if (direct_threw) {
+      EXPECT_THROW((void)memo.propensity(gated, values), SimulationError)
+          << count;
+    } else {
+      EXPECT_EQ(bits(memo.propensity(gated, values)), bits(direct)) << count;
+    }
+  }
+}
+
+TEST(PropensityMemo, InfinitePropensityStopsEveryKernel) {
+  sbml::Model m;
+  m.add_compartment("cell");
+  m.add_species("S", 0.0);
+  m.add_species("P", 0.0);
+  m.add_parameter("k", 1.0);
+  m.add_reaction("inverse", {}, {{"P", 1.0}}, "k / S",
+                 {sbml::ModifierReference{"S"}});
+  const auto net = crn::ReactionNetwork::compile(m);
+  for (const auto method :
+       {SsaMethod::kDirect, SsaMethod::kNextReaction, SsaMethod::kTauLeap}) {
+    EXPECT_THROW((void)make_simulator(method)->run(net, {}, 100.0, {}),
+                 SimulationError);
+  }
+}
+
+TEST(PropensityMemo, ClampChangeRefreshesLawsReadingAnInput) {
+  // 0x0B's BM3R1 NOR gate reads the input B and the internal SrpR.
+  const auto spec = circuits::CircuitRepository::build("0x0B");
+  VirtualLab lab(spec.model);
+  lab.declare_inputs(spec.input_ids);
+  const crn::ReactionNetwork& net = lab.network();
+  std::size_t prod = net.reaction_count();
+  for (std::size_t r = 0; r < net.reaction_count(); ++r) {
+    if (net.reaction(r).id == "BM3R1_prod") prod = r;
+  }
+  ASSERT_LT(prod, net.reaction_count());
+  const std::size_t b = net.species_index("B");
+  const std::size_t srpr = net.species_index("SrpR");
+  const auto& reads = net.reaction(prod).depends_on;
+  ASSERT_TRUE(std::find(reads.begin(), reads.end(), b) != reads.end());
+  ASSERT_TRUE(std::find(reads.begin(), reads.end(), srpr) != reads.end());
+
+  PropensityMemo memo(net);
+  auto values = net.initial_values();
+  values[b] = 0.0;
+  values[srpr] = 3.0;
+  const double before = memo.propensity(prod, values);
+
+  values[b] = 15.0;  // the clamp write of the next phase
+  memo.reset();
+  const double after = memo.propensity(prod, values);
+  EXPECT_EQ(bits(after), bits(net.propensity(prod, values)));
+  EXPECT_NE(after, before);
+  EXPECT_EQ(memo.evals(), 2u);  // the same counts, evaluated again
+}
+
+TEST(PropensityMemo, RunsPublishLookupsAndEvaluations) {
+  const auto spec = circuits::CircuitRepository::build("0x0B");
+  const auto counter = [](const char* name) -> std::uint64_t {
+    for (const auto& sample : obs::snapshot().counters) {
+      if (sample.name == name) return sample.value;
+    }
+    return 0;
+  };
+  const std::uint64_t steps = counter("sim.ssa.steps");
+  const std::uint64_t lookups = counter("sim.ssa.propensity_lookups");
+  const std::uint64_t evals = counter("sim.ssa.propensity_evals");
+  VirtualLab lab(spec.model);
+  lab.declare_inputs(spec.input_ids);
+  (void)lab.run_combination_sweep(2000.0, 15.0);
+  if (!obs::metrics_enabled()) GTEST_SKIP() << "metrics compiled out";
+  const std::uint64_t step_delta = counter("sim.ssa.steps") - steps;
+  const std::uint64_t lookup_delta =
+      counter("sim.ssa.propensity_lookups") - lookups;
+  const std::uint64_t eval_delta =
+      counter("sim.ssa.propensity_evals") - evals;
+  EXPECT_GT(step_delta, 0u);
+  EXPECT_GE(lookup_delta, step_delta);  // every step updates >= 1 law
+  EXPECT_GT(eval_delta, 0u);
+  EXPECT_LT(eval_delta, lookup_delta / 2);  // the memo answers most
 }
 
 // -------------------------------------------------------------------- ODE

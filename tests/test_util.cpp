@@ -333,4 +333,22 @@ TEST(Cli, TypedGettersValidate) {
   EXPECT_THROW((void)cli.get("undeclared"), glva::InvalidArgument);
 }
 
+TEST(Cli, UnsignedGetterRefusesNegativesInsteadOfWrapping) {
+  CliParser cli;
+  cli.add_option("seed", "1", "seed");
+  const char* argv[] = {"prog", "--seed", "-1"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EQ(cli.get_int("seed"), -1);
+  try {
+    (void)cli.get_uint("seed");
+    ADD_FAILURE() << "-1 must not wrap to 2^64 - 1";
+  } catch (const glva::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos);
+  }
+  CliParser zero;
+  zero.add_option("seed", "0", "seed");
+  ASSERT_TRUE(zero.parse(1, argv));
+  EXPECT_EQ(zero.get_uint("seed"), 0u);
+}
+
 }  // namespace
