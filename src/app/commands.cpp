@@ -12,6 +12,7 @@
 #include "core/ensemble.h"
 #include "core/experiment.h"
 #include "core/report.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "props/check.h"
 #include "sbml/validate.h"
@@ -63,6 +64,9 @@ constexpr const char* kUsage =
     "  --trace-out FILE             write a Chrome trace-event JSON of the\n"
     "                               run's stages to FILE (open in\n"
     "                               chrome://tracing or Perfetto)\n"
+    "  --metrics-out FILE           write the run's metrics snapshot\n"
+    "                               (counters, gauges, histograms) as JSON\n"
+    "                               to FILE when the command returns\n"
     "  --log-level LEVEL            stderr diagnostics: error | warn | info\n"
     "                               | debug (default info; env GLVA_LOG)\n"
     "\n"
@@ -710,27 +714,30 @@ void extract_simd_flag(std::vector<std::string>& args) {
   }
 }
 
-/// Strip the global `--trace-out FILE` / `--trace-out=FILE` flag, returning
-/// the file path (empty when absent). Throws on a missing value.
-std::string extract_trace_out_flag(std::vector<std::string>& args) {
+/// Strip a global `FLAG FILE` / `FLAG=FILE` output-file flag (`--trace-out`,
+/// `--metrics-out`), returning the file path (empty when absent; the last
+/// one wins). Throws on a missing value.
+std::string extract_file_flag(std::vector<std::string>& args,
+                              const std::string& flag) {
+  const std::string prefix = flag + "=";
   std::string path;
   for (std::size_t i = 0; i < args.size();) {
     std::string value;
-    if (args[i] == "--trace-out") {
+    if (args[i] == flag) {
       if (i + 1 >= args.size()) {
-        throw InvalidArgument("--trace-out: missing value");
+        throw InvalidArgument(flag + ": missing value");
       }
       value = args[i + 1];
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                  args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else if (util::starts_with(args[i], "--trace-out=")) {
-      value = args[i].substr(12);
+    } else if (util::starts_with(args[i], prefix)) {
+      value = args[i].substr(prefix.size());
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       ++i;
       continue;
     }
-    if (value.empty()) throw InvalidArgument("--trace-out: missing value");
+    if (value.empty()) throw InvalidArgument(flag + ": missing value");
     path = value;
   }
   return path;
@@ -815,11 +822,14 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     const std::size_t jobs = extract_jobs_flag(stripped);
     extract_simd_flag(stripped);
     extract_log_level_flag(stripped);
-    const std::string trace_path = extract_trace_out_flag(stripped);
+    const std::string trace_path = extract_file_flag(stripped, "--trace-out");
+    const std::string metrics_path =
+        extract_file_flag(stripped, "--metrics-out");
 
     // --trace-out wraps the whole command in a trace window; the file is
     // written even when the command fails nonzero (the spans up to the
     // failure are exactly what one wants to see), but not when it throws.
+    // --metrics-out follows the same rule.
     if (!trace_path.empty()) obs::trace_begin();
     int code = 0;
     try {
@@ -835,6 +845,12 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       obs::trace_end();
       obs::write_chrome_trace(trace_path, obs::drain_trace());
       util::log_info("trace written to " + trace_path);
+    }
+    if (!metrics_path.empty()) {
+      std::ofstream metrics(metrics_path, std::ios::binary);
+      metrics << obs::render_json(obs::snapshot()) << "\n";
+      if (!metrics) throw Error("cannot write metrics file: " + metrics_path);
+      util::log_info("metrics written to " + metrics_path);
     }
     return code;
   } catch (const Error& e) {

@@ -35,7 +35,8 @@ std::string archive_path(const circuits::CircuitSpec& spec,
       .string();
 }
 
-/// Hands every delivery to each sink in turn.
+/// Hands every row and hold to each sink in turn (the sampler delivers
+/// holds; blocks fall back to the base row loop).
 class TeeSink final : public store::TraceSink {
 public:
   explicit TeeSink(std::vector<store::TraceSink*> sinks)
@@ -47,9 +48,9 @@ public:
   void append(double time, const std::vector<double>& values) override {
     for (store::TraceSink* sink : sinks_) sink->append(time, values);
   }
-  void append_block(std::span<const double> times,
-                    std::span<const std::span<const double>> series) override {
-    for (store::TraceSink* sink : sinks_) sink->append_block(times, series);
+  void append_hold(std::span<const double> times,
+                   const std::vector<double>& values) override {
+    for (store::TraceSink* sink : sinks_) sink->append_hold(times, values);
   }
   void finish() override {
     for (store::TraceSink* sink : sinks_) sink->finish();

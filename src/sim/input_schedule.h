@@ -46,7 +46,9 @@ public:
   /// Build the paper's sweep: all 2^N combinations of {0, high_level} in
   /// ascending binary order (input_ids[0] is the MSB), dividing
   /// `total_time` equally so each combination holds for
-  /// total_time / 2^N >= the circuit's propagation delay.
+  /// total_time / 2^N >= the circuit's propagation delay. Throws
+  /// glva::InvalidArgument naming `total_time` or `high_level` when either
+  /// is not finite and > 0, and for no inputs or more than 16.
   static InputSchedule combination_sweep(std::vector<std::string> input_ids,
                                          double total_time, double high_level);
 

@@ -1,7 +1,11 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 
+#include "obs/metrics.h"
 #include "sim/propensity_memo.h"
 #include "sim/ssa_direct.h"
 #include "sim/ssa_next_reaction.h"
@@ -14,57 +18,63 @@ namespace glva::sim {
 
 TraceSampler::TraceSampler(const crn::ReactionNetwork& network,
                            double sampling_period, store::TraceSink& sink)
-    : sampling_period_(sampling_period), sink_(&sink) {
-  if (sampling_period <= 0.0) {
-    throw InvalidArgument("sampling_period must be positive");
+    : sampling_period_(sampling_period),
+      sink_(&sink),
+      hold_times_(kHoldSamples) {
+  if (!std::isfinite(sampling_period) || sampling_period <= 0.0) {
+    throw InvalidArgument("sampling_period must be finite and > 0, got " +
+                          std::to_string(sampling_period));
   }
-  const std::size_t species = network.species_names().size();
-  block_times_.reserve(kBlockSamples);
-  block_series_.resize(species);
-  for (auto& column : block_series_) column.reserve(kBlockSamples);
-  block_view_.resize(species);
   sink_->begin(network.species_names());
 }
 
-void TraceSampler::buffer(double grid_time, const std::vector<double>& values) {
-  block_times_.push_back(grid_time);
-  for (std::size_t s = 0; s < block_series_.size(); ++s) {
-    block_series_[s].push_back(values[s]);
+std::size_t TraceSampler::end_index(double bound, bool strict) const {
+  const auto passes = [&](std::size_t k) {
+    const double time = grid_time(k);
+    return strict ? time > bound : time >= bound;
+  };
+  const std::size_t first = next_index_;
+  if (passes(first)) return first;
+  if (passes(first + 1)) return first + 1;
+  // ceil(bound / period) is the end up to rounding; passes() is monotone
+  // in k, so step onto the exact end from whichever side the estimate
+  // lands. The end is above first + 1, which stops the downward walk.
+  const double estimate = std::ceil(bound / sampling_period_);
+  std::size_t k = first + 2;
+  if (estimate > static_cast<double>(k)) {
+    k = estimate < 0x1p63 ? static_cast<std::size_t>(estimate)
+                          : std::size_t{1} << 63;
   }
-  if (block_times_.size() == kBlockSamples) flush_block();
+  while (!passes(k)) ++k;
+  while (passes(k - 1)) --k;
+  return k;
 }
 
-void TraceSampler::flush_block() {
-  if (block_times_.empty()) return;
-  for (std::size_t s = 0; s < block_series_.size(); ++s) {
-    block_view_[s] = block_series_[s];
+void TraceSampler::hold(std::size_t end, const std::vector<double>& values) {
+  while (next_index_ < end) {
+    const std::size_t n = std::min(end - next_index_, kHoldSamples);
+    for (std::size_t i = 0; i < n; ++i) {
+      hold_times_[i] = grid_time(next_index_ + i);
+    }
+    sink_->append_hold(std::span<const double>(hold_times_.data(), n),
+                       values);
+    next_index_ += n;
+    ++holds_;
   }
-  sink_->append_block(block_times_, block_view_);
-  block_times_.clear();
-  for (auto& column : block_series_) column.clear();
 }
 
 void TraceSampler::advance_before(double t, const std::vector<double>& values) {
-  for (;;) {
-    const double grid_time =
-        static_cast<double>(next_index_) * sampling_period_;
-    if (grid_time >= t) return;
-    buffer(grid_time, values);
-    ++next_index_;
-  }
+  hold(end_index(t, false), values);
 }
 
 void TraceSampler::finish(double t_end, const std::vector<double>& values) {
-  for (;;) {
-    const double grid_time =
-        static_cast<double>(next_index_) * sampling_period_;
-    // Tolerate rounding when t_end is an exact multiple of the period.
-    if (grid_time > t_end + sampling_period_ * 1e-9) break;
-    buffer(grid_time, values);
-    ++next_index_;
-  }
-  flush_block();
+  // Tolerate rounding when t_end is an exact multiple of the period.
+  hold(end_index(t_end + sampling_period_ * 1e-9, true), values);
   sink_->finish();
+  static obs::Counter& samples = obs::counter("sim.sampler.samples");
+  static obs::Counter& holds = obs::counter("sim.sampler.holds");
+  samples.add(next_index_);
+  holds.add(holds_);
 }
 
 Trace StochasticSimulator::run(const crn::ReactionNetwork& network,
@@ -80,8 +90,9 @@ void StochasticSimulator::run_into(const crn::ReactionNetwork& network,
                                    double duration,
                                    const SimulationOptions& options,
                                    store::TraceSink& sink) const {
-  if (duration <= 0.0) {
-    throw InvalidArgument("simulation duration must be positive");
+  if (!std::isfinite(duration) || duration <= 0.0) {
+    throw InvalidArgument("simulation duration must be finite and > 0, got " +
+                          std::to_string(duration));
   }
 
   std::vector<double> values = network.initial_values();

@@ -34,52 +34,63 @@ struct SimulationOptions {
 ///
 /// Samples stream into a `store::TraceSink` (begin() is called here with
 /// the network's species names; finish(t_end, ...) seals the sink) — where
-/// rows accumulate is the sink's policy, not the sampler's. Grid rows are
-/// accumulated column-wise into a fixed-size sample block of
-/// `kBlockSamples` rows and flushed through `TraceSink::append_block`, so
-/// live simulation and `SpillReader::replay` drive sinks through one block
-/// contract; the delivered samples are bit-identical to the historical
-/// row-at-a-time stream. The historical "materialize a Trace" behaviour is
-/// a `store::MemorySink` behind `StochasticSimulator::run`.
+/// rows accumulate is the sink's policy, not the sampler's. The state is
+/// constant between two events, so the sampler hands each such run of grid
+/// points to the sink as `TraceSink::append_hold` calls of at most
+/// `kHoldSamples` samples and copies no species value: a digitizing sink
+/// compares each tracked value once per hold, whatever the run's length.
+/// By the hold contract the delivered samples are bit-identical to the
+/// historical row-at-a-time stream. The historical "materialize a Trace"
+/// behaviour is a `store::MemorySink` behind `StochasticSimulator::run`.
 ///
 /// Grid contract: row k's time is computed as exactly
 /// `static_cast<double>(k) * sampling_period` (one multiply from the
-/// integer index — never an accumulated sum). The `.glvt` v2 writer
-/// relies on this to detect uniform time columns bit-for-bit and collapse
-/// them to an implicit-grid section (`glvt::SectionEncoding::kGrid`);
-/// change the arithmetic here and spills silently lose that compression
-/// (correctness is unaffected — the writer verifies before collapsing).
+/// integer index — never an accumulated sum). A run ends at the first k
+/// whose time reaches the event (`>= t`; in finish(), `> t_end + 1e-9 ·
+/// sampling_period`). That test is monotone in k, so the end is estimated
+/// as ceil(t / sampling_period) and corrected in both directions with the
+/// exact test: the emitted indices and times are exactly those of a
+/// per-point loop. A one-sample run, the common case at paper scale, skips
+/// the division. The `.glvt` v2 writer relies on the multiply to detect
+/// uniform time columns bit-for-bit and collapse them to an implicit-grid
+/// section (`glvt::SectionEncoding::kGrid`); change the arithmetic here
+/// and spills silently lose that compression (correctness is unaffected —
+/// the writer verifies before collapsing).
 class TraceSampler {
 public:
-  /// Rows buffered per block flush. A multiple of 64 (the BitStream word
-  /// size), so a digitizing sink sees word-aligned blocks from the first
-  /// flush to the last full one.
-  static constexpr std::size_t kBlockSamples = 256;
+  /// Samples per `append_hold` call at most: one default `.glvt` chunk.
+  /// Longer runs go out as several holds.
+  static constexpr std::size_t kHoldSamples = 4096;
 
   /// `sink` must outlive the sampler. Throws glva::InvalidArgument for a
-  /// non-positive sampling period.
+  /// sampling period that is not finite and > 0.
   TraceSampler(const crn::ReactionNetwork& network, double sampling_period,
                store::TraceSink& sink);
 
   /// Emit all unrecorded grid points strictly before `t` with `values`.
   void advance_before(double t, const std::vector<double>& values);
 
-  /// Emit all remaining grid points up to and including `t_end`, flush the
-  /// partial block, then finish() the sink.
+  /// Emit all remaining grid points up to and including `t_end`, finish()
+  /// the sink, and publish the run's `sim.sampler.samples` and
+  /// `sim.sampler.holds` counters.
   void finish(double t_end, const std::vector<double>& values);
 
 private:
-  /// Buffer one grid row, flushing the block when it fills.
-  void buffer(double grid_time, const std::vector<double>& values);
-  /// Hand the buffered block to the sink (no-op when empty).
-  void flush_block();
+  [[nodiscard]] double grid_time(std::size_t k) const noexcept {
+    return static_cast<double>(k) * sampling_period_;
+  }
+  /// The first grid index at or after next_index_ whose time passes
+  /// `bound`: reaches it (`>=`), or exceeds it (`>`) when `strict`.
+  [[nodiscard]] std::size_t end_index(double bound, bool strict) const;
+  /// Deliver grid points [next_index_, end) to the sink as holds of
+  /// `values`.
+  void hold(std::size_t end, const std::vector<double>& values);
 
   double sampling_period_;
   std::size_t next_index_ = 0;  // next grid point to record
+  std::uint64_t holds_ = 0;     // append_hold calls so far
   store::TraceSink* sink_;
-  std::vector<double> block_times_;
-  std::vector<std::vector<double>> block_series_;  // [species][buffered row]
-  std::vector<std::span<const double>> block_view_;  // scratch for flushes
+  std::vector<double> hold_times_;  // the current hold's grid times
 };
 
 /// Interface of the exact/approximate stochastic simulation algorithms.
@@ -97,7 +108,8 @@ public:
   /// boundary, and record every species at the sampling grid.
   ///
   /// Throws glva::SimulationError on invalid propensities and
-  /// glva::InvalidArgument for schedules referencing unknown species.
+  /// glva::InvalidArgument for schedules referencing unknown species and
+  /// for a duration or sampling period that is not finite and > 0.
   [[nodiscard]] Trace run(const crn::ReactionNetwork& network,
                           const InputSchedule& schedule, double duration,
                           const SimulationOptions& options) const;

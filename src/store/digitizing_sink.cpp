@@ -144,23 +144,42 @@ void DigitizingSink::commit_words() {
   }
 }
 
-void DigitizingSink::append(double /*time*/,
-                            const std::vector<double>& values) {
+void DigitizingSink::append(double time, const std::vector<double>& values) {
+  append_hold(std::span<const double>(&time, 1), values);
+}
+
+void DigitizingSink::append_hold(std::span<const double> times,
+                                 const std::vector<double>& values) {
+  constexpr std::size_t kWordBits = logic::BitStream::kWordBits;
   if (values.size() < min_row_width_) {
     throw InvalidArgument(
-        "DigitizingSink::append: value row narrower than the tracked "
+        "DigitizingSink::append_hold: value row narrower than the tracked "
         "species columns");
   }
-  const std::size_t bit = samples_ % logic::BitStream::kWordBits;
+  const std::size_t n = times.size();
+  if (n == 0) return;
+  // The hold tops up the pending word; when that completes it, whole
+  // words follow and the tail opens the next pending word.
+  const std::size_t bit = samples_ % kWordBits;
+  const std::size_t head = std::min(kWordBits - bit, n);
+  const bool word_done = bit + head == kWordBits;
+  const std::size_t words = word_done ? (n - head) / kWordBits : 0;
+  const std::size_t tail = word_done ? (n - head) % kWordBits : 0;
+  // The low m bits of fill, for m in [0, 64].
+  const auto low_bits = [](std::uint64_t fill, std::size_t m) {
+    return m == 0 ? std::uint64_t{0} : fill >> (kWordBits - m);
+  };
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    pending_[i] |=
-        static_cast<std::uint64_t>(values[columns_[i]] >= threshold_) << bit;
+    const std::uint64_t fill =
+        values[columns_[i]] >= threshold_ ? ~std::uint64_t{0} : 0;
+    pending_[i] |= low_bits(fill, head) << bit;
+    if (!word_done) continue;
+    planes_[i].append_word(pending_[i]);
+    for (std::size_t w = 0; w < words; ++w) planes_[i].append_word(fill);
+    pending_[i] = low_bits(fill, tail);
   }
-  ++samples_;
-  if (samples_ % logic::BitStream::kWordBits == 0) {
-    commit_words();
-    spill_chunks(false);
-  }
+  samples_ += n;
+  if (word_done) spill_chunks(false);
 }
 
 void DigitizingSink::append_block(

@@ -25,9 +25,10 @@ namespace glva::store {
 /// Bits are word-buffered (the `adc_packed` trick): each plane accumulates
 /// 64 comparisons in a pending register and commits whole BitStream words,
 /// one store per 64 samples instead of a read-modify-write per bit;
-/// `append_block` packs straight from the column spans. The partial tail
-/// word is committed by `finish()`, so planes are complete only after the
-/// stream is finished.
+/// `append_block` packs straight from the column spans, and `append_hold`
+/// compares each tracked value once and fills the run's bits as masks and
+/// whole words. The partial tail word is committed by `finish()`, so
+/// planes are complete only after the stream is finished.
 class DigitizingSink final : public TraceSink {
 public:
   /// Optional spill tee: when configured, the committed plane words are
@@ -60,6 +61,7 @@ public:
   /// throws glva::InvalidArgument for an unknown id.
   void begin(const std::vector<std::string>& species_names) override;
 
+  /// One-sample `append_hold`.
   void append(double time, const std::vector<double>& values) override;
 
   /// Block fast path: packs each tracked column 64 samples per word
@@ -67,6 +69,13 @@ public:
   /// glva::InvalidArgument on a block narrower than the tracked columns.
   void append_block(std::span<const double> times,
                     std::span<const std::span<const double>> series) override;
+
+  /// Hold fast path: one `>= threshold` compare per tracked plane, then
+  /// the run's bits as one pending-word mask, whole words, and a tail
+  /// mask — bit-identical to the row path. Throws glva::InvalidArgument on
+  /// a row narrower than the tracked columns.
+  void append_hold(std::span<const double> times,
+                   const std::vector<double>& values) override;
 
   /// Commits the pending partial word of every plane; with the spill tee,
   /// also flushes the tail chunk, writes the chunk index, and finalizes

@@ -126,17 +126,29 @@ void SpillSink::throw_if_writer_failed() {
 }
 
 void SpillSink::append(double time, const std::vector<double>& values) {
+  append_hold(std::span<const double>(&time, 1), values);
+}
+
+void SpillSink::append_hold(std::span<const double> times,
+                            const std::vector<double>& values) {
   if (values.size() < species_names_.size()) {
     throw InvalidArgument(
-        "SpillSink::append: value row narrower than species list");
+        "SpillSink::append_hold: value row narrower than species list");
   }
   throw_if_writer_failed();
-  times_.push_back(time);
-  for (std::size_t i = 0; i < series_.size(); ++i) {
-    series_[i].push_back(values[i]);
+  std::size_t offset = 0;
+  while (offset < times.size()) {
+    const std::size_t room = options_.chunk_samples - times_.size();
+    const std::size_t take = std::min(room, times.size() - offset);
+    times_.insert(times_.end(), times.begin() + offset,
+                  times.begin() + offset + take);
+    for (std::size_t i = 0; i < series_.size(); ++i) {
+      series_[i].insert(series_[i].end(), take, values[i]);
+    }
+    sample_count_ += take;
+    offset += take;
+    if (times_.size() == options_.chunk_samples) flush_chunk();
   }
-  ++sample_count_;
-  if (times_.size() == options_.chunk_samples) flush_chunk();
 }
 
 void SpillSink::append_block(std::span<const double> times,

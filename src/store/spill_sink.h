@@ -29,7 +29,7 @@ namespace glva::store {
 /// the `spill.flush_wait_us` histogram measures). On POSIX the writer
 /// preallocates file extents ahead of itself (`posix_fallocate`, trimmed
 /// back on finish). A writer-side I/O error is latched and rethrown from
-/// the next `append`/`append_block`/`finish` call, so producers see the
+/// the next delivery or `finish` call, so producers see the
 /// same glva::StorageError contract as the synchronous path — which is
 /// still available via the `GLVA_SYNC_SPILL=1` environment escape hatch
 /// (same bytes, no thread; for debugging and single-threaded profiling).
@@ -66,10 +66,7 @@ public:
   /// when the path cannot be opened.
   void begin(const std::vector<std::string>& species_names) override;
 
-  /// Buffer one row, flushing a full chunk to disk. Throws
-  /// glva::InvalidArgument on a row narrower than the species list and
-  /// glva::StorageError on write failure (including a failure latched by
-  /// the writer thread since the previous call).
+  /// One-sample `append_hold`.
   void append(double time, const std::vector<double>& values) override;
 
   /// Buffer a column-wise block, flushing every chunk it fills — one bulk
@@ -79,6 +76,15 @@ public:
   /// list and glva::StorageError on write failure.
   void append_block(std::span<const double> times,
                     std::span<const std::span<const double>> series) override;
+
+  /// Buffer a hold, flushing every chunk it fills — the times copied, each
+  /// species column filled with its one value; the file bytes are
+  /// identical to the row path's. Throws glva::InvalidArgument on a row
+  /// narrower than the species list and glva::StorageError on write
+  /// failure (including a failure latched by the writer thread since the
+  /// previous call).
+  void append_hold(std::span<const double> times,
+                   const std::vector<double>& values) override;
 
   /// Flush the tail chunk, drain and join the writer thread, write the
   /// chunk index, patch the header, and close the file. Throws

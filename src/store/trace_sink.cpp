@@ -22,6 +22,11 @@ void TraceSink::append_block(std::span<const double> times,
   }
 }
 
+void TraceSink::append_hold(std::span<const double> times,
+                            const std::vector<double>& values) {
+  for (const double time : times) append(time, values);
+}
+
 const char* sink_kind_name(SinkKind kind) {
   switch (kind) {
     case SinkKind::kMemory: return "mem";

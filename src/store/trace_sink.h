@@ -17,11 +17,12 @@
 namespace glva::store {
 
 /// Receiver of uniformly sampled simulation rows. The producer calls
-/// `begin` exactly once, then any interleaving of `append` (one row) and
-/// `append_block` (a column-wise run of rows) in time order, then `finish`
-/// exactly once. Row and block deliveries are equivalent by contract: a
-/// sink must produce bit-identical state for the same samples however they
-/// were sliced into calls (the equivalence `tests/test_store.cpp` fuzzes).
+/// `begin` exactly once, then any interleaving of `append` (one row),
+/// `append_block` (a column-wise run of rows) and `append_hold` (a run of
+/// rows that all carry one value row) in time order, then `finish` exactly
+/// once. Row, block and hold deliveries are equivalent by contract: a sink
+/// must produce bit-identical state for the same samples however they were
+/// sliced into calls (the equivalence `tests/test_store.cpp` fuzzes).
 /// Sinks are single-run, single-threaded objects: the exec/ runtime gives
 /// every parallel job its own sink and commits results in job-index order,
 /// so the determinism contract of `exec::ParallelRunner` is untouched by
@@ -31,7 +32,7 @@ public:
   virtual ~TraceSink() = default;
 
   /// Start a stream: one column per species, in network order. Called
-  /// before the first `append` / `append_block`.
+  /// before the first delivery.
   virtual void begin(const std::vector<std::string>& species_names) = 0;
 
   /// One sample row on the uniform time grid. `values` holds at least one
@@ -46,13 +47,24 @@ public:
   /// implementation is exactly that row-wise loop — but sinks override it
   /// to move whole columns at once: `MemorySink` bulk-copies,
   /// `SpillSink` encodes full chunks, and `DigitizingSink` packs 64
-  /// samples per BitStream word. This is the fast path `sim::TraceSampler`
-  /// and `SpillReader::replay` drive.
+  /// samples per BitStream word. This is the path `SpillReader::replay`
+  /// drives.
   virtual void append_block(std::span<const double> times,
                             std::span<const std::span<const double>> series);
 
+  /// `times.size()` consecutive grid samples (possibly none) that all carry
+  /// `values` (same width rule as `append`): a zero-order hold, the run a
+  /// stochastic trajectory spends between two events. Semantically
+  /// identical to `times.size()` `append(time, values)` calls in order —
+  /// the base implementation is exactly that loop — but sinks override it
+  /// to fill instead of copy: `SpillSink` fills its chunk columns and
+  /// `DigitizingSink` compares each tracked value once and fills whole
+  /// words. This is the path `sim::TraceSampler` drives.
+  virtual void append_hold(std::span<const double> times,
+                           const std::vector<double>& values);
+
   /// Stream complete: flush buffers, seal files, release what can be
-  /// released. No `append` / `append_block` may follow.
+  /// released. No delivery may follow.
   virtual void finish() = 0;
 };
 

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "app/commands.h"
 #include "logic/simd/kernel_set.h"
+#include "obs/metrics.h"
 #include "sbml/reader.h"
 #include "sbol/sbol_io.h"
+#include "serve/protocol.h"
 
 namespace {
 
@@ -216,6 +222,76 @@ TEST(Cli, EstimatePrintsThresholdAndDelay) {
   EXPECT_EQ(result.code, 0);
   EXPECT_NE(result.out.find("threshold estimate"), std::string::npos);
   EXPECT_NE(result.out.find("recommended hold"), std::string::npos);
+}
+
+TEST(Cli, EstimateRefusesNonFiniteOrNonPositiveDurationsAndLevels) {
+  struct Case {
+    const char* option;
+    const char* value;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"--total-time", "nan", "total_time"},
+      {"--total-time", "inf", "total_time"},
+      {"--probe-level", "nan", "high_level"},
+      {"--probe-level", "-3", "high_level"},
+  };
+  // Each case must be refused before anything simulates: far below this
+  // bound, where a hang or a paper-scale run would be far above it.
+  constexpr auto kBound = std::chrono::seconds(2);
+  for (const Case& c : cases) {
+    const std::string label = std::string(c.option) + " " + c.value;
+    const auto start = std::chrono::steady_clock::now();
+    const auto result = run({"estimate", "0x0B", c.option, c.value});
+    EXPECT_EQ(result.code, 2) << label;
+    EXPECT_NE(result.err.find(c.field), std::string::npos)
+        << label << ": " << result.err;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, kBound) << label;
+  }
+}
+
+/// A counter's value in a snapshot (0 when absent).
+std::uint64_t counter_value(const glva::obs::Snapshot& snapshot,
+                            const std::string& name) {
+  for (const auto& sample : snapshot.counters) {
+    if (sample.name == name) return sample.value;
+  }
+  return 0;
+}
+
+TEST(Cli, MetricsOutWritesTheSnapshotWhenTheCommandReturns) {
+  const TempPath metrics_path("metrics.json");
+  const glva::obs::Snapshot before = glva::obs::snapshot();
+  const auto result = run({"verify", "myers_not", "--total-time", "400",
+                           "--seed", "4", "--metrics-out", metrics_path.str()});
+  ASSERT_EQ(result.code, 0) << result.err;
+  std::ifstream file(metrics_path.str());
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf();
+  const glva::serve::Json json = glva::serve::parse_json(text.str());
+  const glva::serve::Json* counters = json.find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_TRUE(counters->is_object());
+  ASSERT_NE(json.find("histograms"), nullptr);
+  if (!glva::obs::metrics_enabled()) GTEST_SKIP() << "metrics compiled out";
+
+  // The snapshot is the process's, so compare deltas over this one run:
+  // 401 grid samples (0, 1, ..., 400) in at most 401 holds.
+  const auto written = [&](const std::string& name) -> std::uint64_t {
+    const glva::serve::Json* member = counters->find(name);
+    return member == nullptr ? 0 : std::stoull(member->number);
+  };
+  const std::uint64_t samples = written("sim.sampler.samples") -
+                                counter_value(before, "sim.sampler.samples");
+  const std::uint64_t holds = written("sim.sampler.holds") -
+                              counter_value(before, "sim.sampler.holds");
+  EXPECT_EQ(samples, 401u);
+  EXPECT_GT(holds, 0u);
+  EXPECT_LE(holds, samples);
+
+  EXPECT_EQ(run({"verify", "myers_not", "--metrics-out"}).code, 2);
+  EXPECT_EQ(run({"verify", "myers_not", "--metrics-out="}).code, 2);
 }
 
 TEST(Cli, SimdFlagForcesScalarKernelsAndMatchesDefault) {

@@ -10,6 +10,10 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
 #include <utility>
 
 #include "circuits/circuit_repository.h"
@@ -25,6 +29,7 @@
 #include "sim/ssa_direct.h"
 #include "sim/trace.h"
 #include "sim/virtual_lab.h"
+#include "store/trace_sink.h"
 #include "util/errors.h"
 #include "util/stats.h"
 
@@ -174,8 +179,16 @@ TEST(InputSchedule, ValidatesPhases) {
   EXPECT_THROW(schedule.add_phase(5.0, {1.0, 2.0}), InvalidArgument);  // arity
   EXPECT_THROW((void)InputSchedule::combination_sweep({}, 10.0, 1.0),
                InvalidArgument);
-  EXPECT_THROW((void)InputSchedule::combination_sweep({"A"}, -1.0, 1.0),
-               InvalidArgument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, 0.0, nan, inf}) {
+    EXPECT_THROW((void)InputSchedule::combination_sweep({"A"}, bad, 1.0),
+                 InvalidArgument)
+        << "total_time " << bad;
+    EXPECT_THROW((void)InputSchedule::combination_sweep({"A"}, 10.0, bad),
+                 InvalidArgument)
+        << "high_level " << bad;
+  }
 }
 
 // --------------------------------------------------- indexed priority queue
@@ -327,10 +340,16 @@ TEST(Simulator, DirectAndNextReactionAgreeStatistically) {
 TEST(Simulator, RejectsBadArguments) {
   const auto net = crn::ReactionNetwork::compile(birth_death(1.0, 0.1));
   const DirectMethod simulator;
-  EXPECT_THROW((void)simulator.run(net, {}, 0.0, {}), InvalidArgument);
-  SimulationOptions options;
-  options.sampling_period = 0.0;
-  EXPECT_THROW((void)simulator.run(net, {}, 10.0, options), InvalidArgument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    EXPECT_THROW((void)simulator.run(net, {}, bad, {}), InvalidArgument)
+        << "duration " << bad;
+    SimulationOptions options;
+    options.sampling_period = bad;
+    EXPECT_THROW((void)simulator.run(net, {}, 10.0, options), InvalidArgument)
+        << "sampling_period " << bad;
+  }
   // Clamping a non-boundary species is an error.
   const auto schedule = InputSchedule::constant({"X"}, {5.0});
   EXPECT_THROW((void)simulator.run(net, schedule, 10.0, {}), InvalidArgument);
@@ -627,6 +646,120 @@ TEST(PropensityMemo, RunsPublishLookupsAndEvaluations) {
   EXPECT_GE(lookup_delta, step_delta);  // every step updates >= 1 law
   EXPECT_GT(eval_delta, 0u);
   EXPECT_LT(eval_delta, lookup_delta / 2);  // the memo answers most
+}
+
+// ------------------------------------------------------------ the sampler
+
+/// Accepts only holds, and checks that each carries the grid times of the
+/// next consecutive indices, `static_cast<double>(k) * period` bit for bit.
+class HoldRecorder final : public store::TraceSink {
+public:
+  explicit HoldRecorder(double period) : period_(period) {}
+
+  void begin(const std::vector<std::string>& /*species_names*/) override {}
+  void append(double /*time*/, const std::vector<double>& /*values*/) override {
+    ADD_FAILURE() << "the sampler delivered a row, not a hold";
+  }
+  void append_hold(std::span<const double> times,
+                   const std::vector<double>& /*values*/) override {
+    EXPECT_GE(times.size(), 1u);
+    EXPECT_LE(times.size(), TraceSampler::kHoldSamples);
+    for (const double time : times) {
+      ASSERT_EQ(bits(time), bits(static_cast<double>(samples_) * period_))
+          << "sample " << samples_;
+      ++samples_;
+    }
+  }
+  void finish() override { finished_ = true; }
+
+  [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
+  [[nodiscard]] bool finished() const noexcept { return finished_; }
+
+private:
+  double period_;
+  std::size_t samples_ = 0;
+  bool finished_ = false;
+};
+
+/// The per-point loops the sampler's holds replace: the next grid index
+/// after advance_before(t) and after finish(t_end), starting from `next`.
+std::size_t per_point_before(std::size_t next, double period, double t) {
+  while (static_cast<double>(next) * period < t) ++next;
+  return next;
+}
+std::size_t per_point_finish(std::size_t next, double period, double t_end) {
+  while (static_cast<double>(next) * period <= t_end + period * 1e-9) ++next;
+  return next;
+}
+
+constexpr double kSamplerPeriods[] = {1.0, 0.1, 1.0 / 3.0, 0.001, 1e-7};
+
+TEST(TraceSampler, HoldsEmitExactlyThePerPointGridIndices) {
+  const auto net = crn::ReactionNetwork::compile(birth_death(1.0, 0.1));
+  const std::vector<double> values(net.species_names().size(), 3.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Events on these grid points, one ulp either side of them, or halfway
+  // to the next: one sequence per spelling, so each event lands on its
+  // point from the previous one. The jumps span one sample (no division),
+  // word (64) and hold (4096) boundaries, and long runs where the ceil
+  // estimate needs correcting in either direction.
+  constexpr std::size_t kEvents[] = {0,    1,    2,    3,     63,    64,
+                                     65,   4095, 4096, 4097,  4098,  12289,
+                                     20000, 100000};
+  const auto spellings = {
+      +[](double on_grid, double) { return std::nextafter(on_grid, -kInf); },
+      +[](double on_grid, double) { return on_grid; },
+      +[](double on_grid, double) { return std::nextafter(on_grid, kInf); },
+      +[](double on_grid, double period) { return on_grid + period / 2; }};
+  for (const double period : kSamplerPeriods) {
+    std::size_t spelling = 0;
+    for (const auto event_time : spellings) {
+      HoldRecorder sink(period);
+      TraceSampler sampler(net, period, sink);
+      std::size_t expected = 0;
+      for (const std::size_t k : kEvents) {
+        const double t = event_time(static_cast<double>(k) * period, period);
+        sampler.advance_before(t, values);
+        expected = per_point_before(expected, period, t);
+        ASSERT_EQ(sink.samples(), expected)
+            << "period " << period << ", spelling " << spelling
+            << ", event " << t << " near index " << k;
+      }
+      sampler.finish(static_cast<double>(100003) * period, values);
+      EXPECT_EQ(sink.samples(), 100004u) << "period " << period;
+      EXPECT_TRUE(sink.finished());
+      ++spelling;
+    }
+  }
+}
+
+TEST(TraceSampler, FinishKeepsThePerPointToleranceAtTheEnd) {
+  const auto net = crn::ReactionNetwork::compile(birth_death(1.0, 0.1));
+  const std::vector<double> values(net.species_names().size(), 3.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double period : kSamplerPeriods) {
+    for (const std::size_t k : {0u, 1u, 63u, 64u, 4096u, 4097u, 20000u}) {
+      const double on_grid = static_cast<double>(k) * period;
+      // t_end on the grid point, an ulp either side, and on both sides of
+      // the 1e-9-period tolerance below it.
+      for (const double t_end :
+           {on_grid, std::nextafter(on_grid, -kInf),
+            std::nextafter(on_grid, kInf), on_grid - period * 0.5e-9,
+            on_grid - period * 1e-9, on_grid - period * 2e-9,
+            on_grid + period * 0.5}) {
+        HoldRecorder sink(period);
+        TraceSampler sampler(net, period, sink);
+        sampler.advance_before(on_grid / 2, values);
+        const std::size_t before = per_point_before(0, period, on_grid / 2);
+        ASSERT_EQ(sink.samples(), before);
+        sampler.finish(t_end, values);
+        EXPECT_EQ(sink.samples(), per_point_finish(before, period, t_end))
+            << "period " << period << ", t_end " << t_end << " near index "
+            << k;
+        EXPECT_TRUE(sink.finished());
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------------- ODE

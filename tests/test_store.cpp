@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -736,6 +737,16 @@ TEST(AsyncSpill, WriterErrorSurfacesAsStorageError) {
         stream_trace(synthetic_trace(20000), sink);
       },
       StorageError);
+  // The same contract for holds, which is how the sampler delivers.
+  EXPECT_THROW(
+      {
+        store::SpillSink sink("/dev/full", {.chunk_samples = 64});
+        sink.begin({"A", "B"});
+        const std::vector<double> times(64, 0.0);
+        for (int hold = 0; hold < 400; ++hold) sink.append_hold(times, {1, 2});
+        sink.finish();
+      },
+      StorageError);
 }
 
 TEST(AsyncSpill, DestructionWithoutFinishLeavesRejectedFile) {
@@ -971,6 +982,206 @@ TEST(AppendBlock, RejectsColumnsShorterThanTheTimeColumn) {
   store::DigitizingSink digitize({"B"}, 15.0);
   digitize.begin(trace.species_names());
   EXPECT_THROW(digitize.append_block(times, ragged), InvalidArgument);
+}
+
+// -------------------------------------------------- hold-path equivalence
+
+/// One zero-order hold: `length` consecutive grid samples carrying one
+/// value row.
+struct HoldRun {
+  std::size_t length;
+  std::vector<double> values;
+};
+
+constexpr double kHoldThreshold = 15.0;
+constexpr double kHoldPeriod = 0.25;  // sample k sits at k * kHoldPeriod
+
+/// The hold fuzz's stream: every length in {0, 1, 63, 64, 65, 4095, 4096,
+/// 4097} starts at every word offset (a pad run moves the stream there
+/// first), so holds end mid-word, on word and chunk boundaries, and cross
+/// them. Rows mix NaN, -0.0, +inf and the threshold itself with ordinary
+/// values on either side of it.
+std::vector<HoldRun> hold_runs(std::uint64_t seed) {
+  sim::Rng rng(seed);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             kHoldThreshold,
+                             std::nextafter(kHoldThreshold, 0.0),
+                             0.0,
+                             30.0};
+  const auto random_row = [&] {
+    std::vector<double> row(3);
+    for (double& v : row) v = specials[rng.below(std::size(specials))];
+    return row;
+  };
+  std::vector<HoldRun> runs;
+  std::size_t position = 0;
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    for (const std::size_t length : {0u, 1u, 63u, 64u, 65u, 4095u, 4096u,
+                                     4097u}) {
+      const std::size_t pad = (offset + 64 - position % 64) % 64;
+      if (pad > 0) runs.push_back({pad, random_row()});
+      runs.push_back({length, random_row()});
+      position += pad + length;
+    }
+  }
+  return runs;
+}
+
+/// The three ways a sink can receive samples.
+enum class SinkCall { kHold, kBlock, kRows };
+
+/// How a hold fuzz delivers its runs: every run as one block (the
+/// reference: each sink's block path shares no code with its hold path),
+/// every sample as a row, every run as one hold, or each run cut at random
+/// into pieces (some empty) that go out through random calls.
+enum class HoldDelivery { kBlocks, kRows, kWholeHolds, kMixed };
+
+void stream_holds(const std::vector<HoldRun>& runs, store::TraceSink& sink,
+                  HoldDelivery delivery, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  sink.begin({"A", "B", "GFP"});
+  std::size_t position = 0;
+  std::vector<double> times;
+  // The next n samples, all carrying run.values, through one call kind.
+  const auto deliver = [&](const HoldRun& run, std::size_t n, SinkCall call) {
+    times.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      times[i] = static_cast<double>(position + i) * kHoldPeriod;
+    }
+    switch (call) {
+      case SinkCall::kHold:
+        sink.append_hold(times, run.values);
+        break;
+      case SinkCall::kBlock: {
+        std::vector<std::vector<double>> columns;
+        std::vector<std::span<const double>> spans;
+        for (const double v : run.values) columns.emplace_back(n, v);
+        for (const auto& column : columns) spans.emplace_back(column);
+        sink.append_block(times, spans);
+        break;
+      }
+      case SinkCall::kRows:
+        for (const double time : times) sink.append(time, run.values);
+        break;
+    }
+    position += n;
+  };
+  for (const HoldRun& run : runs) {
+    switch (delivery) {
+      case HoldDelivery::kBlocks:
+        deliver(run, run.length, SinkCall::kBlock);
+        break;
+      case HoldDelivery::kRows:
+        deliver(run, run.length, SinkCall::kRows);
+        break;
+      case HoldDelivery::kWholeHolds:
+        deliver(run, run.length, SinkCall::kHold);
+        break;
+      case HoldDelivery::kMixed:
+        for (std::size_t left = run.length; left > 0;) {
+          const std::size_t n = rng.below(3) == 0 ? left : rng.below(left + 1);
+          deliver(run, n, static_cast<SinkCall>(rng.below(3)));
+          left -= n;
+        }
+        break;
+    }
+  }
+  sink.finish();
+}
+
+void expect_traces_bitwise_identical(const sim::Trace& a, const sim::Trace& b) {
+  ASSERT_EQ(a.species_names(), b.species_names());
+  ASSERT_EQ(a.sample_count(), b.sample_count());
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bits(a.times(), b.times()));
+  for (std::size_t s = 0; s < a.species_count(); ++s) {
+    EXPECT_TRUE(same_bits(a.series(s), b.series(s))) << "species " << s;
+  }
+}
+
+constexpr HoldDelivery kHoldDeliveries[] = {
+    HoldDelivery::kRows, HoldDelivery::kWholeHolds, HoldDelivery::kMixed};
+
+TEST(AppendHold, MemorySinkBaseLoopMatchesBlocks) {
+  const std::vector<HoldRun> runs = hold_runs(71);
+  store::MemorySink blocks;
+  stream_holds(runs, blocks, HoldDelivery::kBlocks, 0);
+  for (const HoldDelivery delivery : kHoldDeliveries) {
+    store::MemorySink holds;
+    stream_holds(runs, holds, delivery, 72);
+    expect_traces_bitwise_identical(blocks.trace(), holds.trace());
+  }
+}
+
+TEST(AppendHold, SpillSinkWritesIdenticalBytesInBothFormats) {
+  const std::vector<HoldRun> runs = hold_runs(73);
+  for (const std::uint32_t version : {1u, store::glvt::kVersion}) {
+    store::SpillSink::Options options;
+    options.format_version = version;
+    options.sampling_period = kHoldPeriod;
+    const std::string tag = "v" + std::to_string(version);
+    const fs::path block_path = temp_path("hold_blocks_" + tag + ".glvt");
+    {
+      store::SpillSink sink(block_path.string(), options);
+      stream_holds(runs, sink, HoldDelivery::kBlocks, 0);
+    }
+    const std::string block_bytes = read_file_bytes(block_path);
+    for (const HoldDelivery delivery : kHoldDeliveries) {
+      const fs::path path = temp_path(
+          "hold_" + tag + "_" + std::to_string(static_cast<int>(delivery)) +
+          ".glvt");
+      {
+        store::SpillSink sink(path.string(), options);
+        stream_holds(runs, sink, delivery, 74);
+      }
+      EXPECT_TRUE(read_file_bytes(path) == block_bytes)
+          << tag << ", delivery " << static_cast<int>(delivery);
+    }
+  }
+}
+
+TEST(AppendHold, DigitizingSinkMatchesBlocksInPlanesAndArchiveBytes) {
+  const std::vector<HoldRun> runs = hold_runs(75);
+  const std::vector<std::string> tracked = {"A", "B", "GFP", "A"};
+  // The sink-free oracle: the ADC over the materialized trace.
+  store::MemorySink memory;
+  stream_holds(runs, memory, HoldDelivery::kBlocks, 0);
+  const core::PackedDigitalData expected =
+      core::digitize_packed(memory.trace(), {"A", "B"}, "GFP", kHoldThreshold);
+  const fs::path block_path = temp_path("hold_planes_blocks.glvt");
+  store::DigitizingSink blocks(tracked, kHoldThreshold,
+                               plane_spill(block_path));
+  stream_holds(runs, blocks, HoldDelivery::kBlocks, 0);
+  const std::string block_bytes = read_file_bytes(block_path);
+  for (const HoldDelivery delivery : kHoldDeliveries) {
+    const std::string tag = std::to_string(static_cast<int>(delivery));
+    const fs::path path = temp_path("hold_planes_" + tag + ".glvt");
+    store::DigitizingSink holds(tracked, kHoldThreshold, plane_spill(path));
+    stream_holds(runs, holds, delivery, 76);
+    ASSERT_EQ(holds.sample_count(), memory.trace().sample_count());
+    EXPECT_EQ(holds.planes()[0], expected.inputs[0]) << "delivery " << tag;
+    EXPECT_EQ(holds.planes()[1], expected.inputs[1]) << "delivery " << tag;
+    EXPECT_EQ(holds.planes()[2], expected.output) << "delivery " << tag;
+    EXPECT_EQ(holds.planes()[3], expected.inputs[0]) << "delivery " << tag;
+    EXPECT_TRUE(read_file_bytes(path) == block_bytes) << "delivery " << tag;
+  }
+}
+
+TEST(AppendHold, RejectsRowsNarrowerThanTheSinkNeeds) {
+  const std::vector<double> times = {0.0, 1.0};
+  const std::vector<double> narrow = {1.0};
+  store::SpillSink spill(temp_path("hold_narrow.glvt").string());
+  spill.begin({"A", "B"});
+  EXPECT_THROW(spill.append_hold(times, narrow), InvalidArgument);
+  store::DigitizingSink digitize({"B"}, kHoldThreshold);
+  digitize.begin({"A", "B"});
+  EXPECT_THROW(digitize.append_hold(times, narrow), InvalidArgument);
 }
 
 // ------------------------------------------------------------ chunk replay
