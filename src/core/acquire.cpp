@@ -1,7 +1,6 @@
 #include "core/acquire.h"
 
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -111,16 +110,10 @@ Acquisition run_pass(const circuits::CircuitSpec& spec,
 }  // namespace
 
 void validate(const ExperimentConfig& config) {
-  const auto require_finite_positive = [](double value, const char* field) {
-    if (!std::isfinite(value) || value <= 0.0) {
-      throw InvalidArgument(std::string("experiment: ") + field +
-                            " must be finite and > 0, got " +
-                            std::to_string(value));
-    }
-  };
-  require_finite_positive(config.total_time, "total_time");
-  require_finite_positive(config.sampling_period, "sampling_period");
-  require_finite_positive(config.threshold, "threshold");
+  require_finite_positive(config.total_time, "experiment: total_time");
+  require_finite_positive(config.sampling_period,
+                          "experiment: sampling_period");
+  require_finite_positive(config.threshold, "experiment: threshold");
   if (config.sink == store::SinkKind::kSpill && config.spill_dir.empty()) {
     throw InvalidArgument(
         "experiment: sink 'spill' archives into a spill directory "

@@ -1,8 +1,5 @@
 #include "sim/input_schedule.h"
 
-#include <cmath>
-#include <string>
-
 #include "util/errors.h"
 
 namespace glva::sim {
@@ -45,15 +42,8 @@ InputSchedule InputSchedule::combination_sweep(
   const std::size_t n = input_ids.size();
   if (n == 0) throw InvalidArgument("combination_sweep: no inputs");
   if (n > 16) throw InvalidArgument("combination_sweep: too many inputs");
-  const auto require_finite_positive = [](double value, const char* field) {
-    if (!std::isfinite(value) || value <= 0.0) {
-      throw InvalidArgument(std::string("combination_sweep: ") + field +
-                            " must be finite and > 0, got " +
-                            std::to_string(value));
-    }
-  };
-  require_finite_positive(total_time, "total_time");
-  require_finite_positive(high_level, "high_level");
+  require_finite_positive(total_time, "combination_sweep: total_time");
+  require_finite_positive(high_level, "combination_sweep: high_level");
   const std::size_t combos = static_cast<std::size_t>(1) << n;
   const double hold = total_time / static_cast<double>(combos);
 

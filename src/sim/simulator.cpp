@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <string>
 
 #include "obs/metrics.h"
 #include "sim/propensity_memo.h"
@@ -21,10 +20,7 @@ TraceSampler::TraceSampler(const crn::ReactionNetwork& network,
     : sampling_period_(sampling_period),
       sink_(&sink),
       hold_times_(kHoldSamples) {
-  if (!std::isfinite(sampling_period) || sampling_period <= 0.0) {
-    throw InvalidArgument("sampling_period must be finite and > 0, got " +
-                          std::to_string(sampling_period));
-  }
+  require_finite_positive(sampling_period, "sampling_period");
   sink_->begin(network.species_names());
 }
 
@@ -90,10 +86,7 @@ void StochasticSimulator::run_into(const crn::ReactionNetwork& network,
                                    double duration,
                                    const SimulationOptions& options,
                                    store::TraceSink& sink) const {
-  if (!std::isfinite(duration) || duration <= 0.0) {
-    throw InvalidArgument("simulation duration must be finite and > 0, got " +
-                          std::to_string(duration));
-  }
+  require_finite_positive(duration, "simulation duration");
 
   std::vector<double> values = network.initial_values();
   std::vector<std::size_t> input_indices;

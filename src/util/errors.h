@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -61,5 +62,15 @@ class StorageError : public Error {
 public:
   using Error::Error;
 };
+
+/// Throw InvalidArgument("<what> must be finite and > 0, got <value>")
+/// unless `value` is finite and positive. A NaN duration or period would
+/// otherwise pass a plain `<= 0` test and never end a sampling loop.
+inline void require_finite_positive(double value, const std::string& what) {
+  if (!std::isfinite(value) || value <= 0.0) {
+    throw InvalidArgument(what + " must be finite and > 0, got " +
+                          std::to_string(value));
+  }
+}
 
 }  // namespace glva
