@@ -680,6 +680,27 @@ TEST(BitPlaneSpill, ReadPlanesRejectsAnalogFile) {
   EXPECT_THROW((void)reader.read_planes(), StorageError);
 }
 
+TEST(BitPlaneSpill, GoldenFileBytesAreStable) {
+  const fs::path path = temp_path("planes_golden_generated.glvt");
+  store::DigitizingSink::SpillOptions spill;
+  spill.path = path.string();
+  spill.chunk_samples = 64;
+  spill.seed = 123;
+  spill.sampling_period = 0.5;
+  store::DigitizingSink sink({"A", "B", "GFP"}, 15.0, spill);
+  stream_trace(synthetic_trace(150), sink);
+
+  const std::string generated = read_file_bytes(path);
+  const std::string golden =
+      read_file_bytes(fs::path(GLVA_GOLDEN_DIR) / "planes_fixed.glvt");
+  ASSERT_EQ(generated.size(), golden.size())
+      << "regenerate tests/golden/planes_fixed.glvt if the .glvt format "
+         "changed intentionally (and bump glvt::kVersion)";
+  EXPECT_TRUE(generated == golden)
+      << "byte-level bit-plane .glvt drift — bump glvt::kVersion on format "
+         "changes";
+}
+
 TEST(BitPlaneSpill, RejectsCorruptWordsSection) {
   const fs::path path = temp_path("bad_words.glvt");
   store::DigitizingSink sink({"A", "B", "GFP"}, 15.0, plane_spill(path));
