@@ -17,11 +17,11 @@
 // byte-stable for a fixed seed (the golden regression pins `--sink all`).
 //
 // Two follow-on sections ride on the same run:
-//   - whenever a spill file was written, the .glvt is replayed into the
-//     digitizer twice — row-at-a-time (SpillReader::replay_rows, the
-//     reference) and chunk-at-a-time blocks (SpillReader::replay) — the
-//     planes are compared bit for bit and, with timings on, the block
-//     path's replay speedup is reported (target: >= 3x);
+//   - whenever a spill file was written, the format section reports its
+//     size next to what a raw time column would have cost (the v1 layout:
+//     the v2 size less the 12 header bytes v2 added, plus every byte the
+//     grid sections saved, which the spill.bytes_saved counter records),
+//     and --min-size-ratio gates the ratio;
 //   - --ensemble-replicates N runs an N-replicate digitize-sink ensemble
 //     through the streaming reduction (core::run_ensemble) and reports the
 //     majority logic plus, with timings on, the process peak RSS — the
@@ -45,6 +45,7 @@
 #include "core/experiment.h"
 #include "core/logic_analyzer.h"
 #include "core/report.h"
+#include "obs/metrics.h"
 #include "sim/virtual_lab.h"
 #include "store/digitizing_sink.h"
 #include "store/spill_reader.h"
@@ -80,7 +81,18 @@ struct SinkRun {
   std::size_t samples = 0;
   double simulate_seconds = 0.0;
   double analyze_seconds = 0.0;
+  /// What the spill sink's grid time sections saved over raw time columns
+  /// (the spill.bytes_saved delta; 0 for the other sinks).
+  std::uint64_t grid_bytes_saved = 0;
 };
+
+/// The current value of a metrics counter (0 when it has not fired yet).
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& sample : obs::snapshot().counters) {
+    if (sample.name == name) return sample.value;
+  }
+  return 0;
+}
 
 std::string spill_path_for(const circuits::CircuitSpec& spec,
                            const std::string& spill_dir, std::uint64_t seed) {
@@ -130,8 +142,10 @@ SinkRun run_with_sink(const circuits::CircuitSpec& spec,
     spill_options.seed = seed;
     spill_options.sampling_period = sampling_period;
     store::SpillSink sink(path, spill_options);
+    const std::uint64_t saved_before = counter_value("spill.bytes_saved");
     lab.run_into(schedule, total_time, sink);
     run.simulate_seconds = seconds_since(sim_start);
+    run.grid_bytes_saved = counter_value("spill.bytes_saved") - saved_before;
 
     const auto analyze_start = std::chrono::steady_clock::now();
     store::SpillReader reader(path);
@@ -184,9 +198,9 @@ int main(int argc, char** argv) {
   cli.add_option("spill-dir", "",
                  "directory for .glvt files (default: <tmp>/glva-trace-io)");
   cli.add_option("min-size-ratio", "0",
-                 "fail (exit 1) when the v1/v2 spill size ratio falls below "
-                 "this (0 = report only; the format section runs whenever "
-                 "the spill sink does)");
+                 "fail (exit 1) when the raw-time-column (v1) / v2 spill "
+                 "size ratio falls below this (0 = report only; the format "
+                 "section runs whenever the spill sink does)");
   cli.add_option("rss-budget-mb", "512",
                  "fail (exit 1) when peak RSS exceeds this many MiB "
                  "(checked only when timings are on)");
@@ -277,112 +291,27 @@ int main(int argc, char** argv) {
 
   int rc = agree ? 0 : 1;
 
-  // Replay comparison: the .glvt written above replayed into the digitizer
-  // row-at-a-time vs chunk-at-a-time. The planes must agree bit for bit
-  // (checked always); the speedup is the block data path's headline win.
-  if (std::find(sinks.begin(), sinks.end(), "spill") != sinks.end()) {
-    std::vector<std::string> tracked = spec.input_ids;
-    tracked.push_back(spec.output_id);
-    store::SpillReader reader(spill_path_for(spec, spill_dir, seed));
-
-    store::DigitizingSink by_rows(tracked, threshold);
-    const auto rows_start = std::chrono::steady_clock::now();
-    reader.replay_rows(by_rows);
-    const double rows_seconds = seconds_since(rows_start);
-
-    store::DigitizingSink by_blocks(tracked, threshold);
-    const auto blocks_start = std::chrono::steady_clock::now();
-    reader.replay(by_blocks);
-    const double blocks_seconds = seconds_since(blocks_start);
-
-    const bool replay_identical = by_rows.planes() == by_blocks.planes() &&
-                                  by_rows.sample_count() ==
-                                      by_blocks.sample_count();
-    std::cout << "\n--- replay: .glvt -> digitize, row vs block ---\n"
-              << "samples:    " << by_blocks.sample_count() << "\n"
-              << "block path bit-identical to row path: "
-              << (replay_identical ? "yes" : "NO") << "\n";
-    if (timings) {
-      const auto rate = [](std::size_t samples, double seconds) {
-        return seconds > 0.0
-                   ? static_cast<double>(samples) / seconds / 1e6
-                   : 0.0;
-      };
-      std::cout << "rows:       "
-                << util::format_double(rows_seconds, 3) << " s ("
-                << util::format_double(rate(by_rows.sample_count(),
-                                            rows_seconds), 1)
-                << " Msamples/s)\n"
-                << "blocks:     "
-                << util::format_double(blocks_seconds, 3) << " s ("
-                << util::format_double(rate(by_blocks.sample_count(),
-                                            blocks_seconds), 1)
-                << " Msamples/s)\n"
-                << "speedup:    "
-                << util::format_double(
-                       blocks_seconds > 0.0 ? rows_seconds / blocks_seconds
-                                            : 0.0, 2)
-                << "x (block over row)\n";
-    }
-    if (!replay_identical) rc = 1;
-
-    // Format comparison: the same samples re-spilled as .glvt v1 (raw time
-    // column) and v2 (implicit-grid kGrid sections). Sizes and the ratio
-    // are deterministic for a fixed seed, so the golden pins them; the
-    // write/replay timings show the v2 fast path (no time decode at all).
-    const auto respill = [&](std::uint32_t version, const std::string& name,
-                             double& write_seconds) {
-      const std::string path =
-          (std::filesystem::path(spill_dir) / name).string();
-      store::SpillSink::Options spill_options;
-      spill_options.seed = seed;
-      spill_options.sampling_period = sampling_period;
-      spill_options.format_version = version;
-      store::SpillSink sink(path, spill_options);
-      const auto start = std::chrono::steady_clock::now();
-      reader.replay(sink);
-      write_seconds = seconds_since(start);
-      return path;
-    };
-    double v1_write = 0.0;
-    double v2_write = 0.0;
-    const std::string v1_path = respill(1, "format_v1.glvt", v1_write);
-    const std::string v2_path =
-        respill(store::glvt::kVersion, "format_v2.glvt", v2_write);
-    const auto v1_size = std::filesystem::file_size(v1_path);
-    const auto v2_size = std::filesystem::file_size(v2_path);
+  // Format: the sampler-written .glvt beside what the same file costs with
+  // a raw time column (.glvt v1 layout). Both sizes and the ratio are
+  // deterministic for a fixed seed, so the golden pins them.
+  const auto spill_run = std::find(sinks.begin(), sinks.end(), "spill");
+  if (spill_run != sinks.end()) {
+    const SinkRun& run = runs[static_cast<std::size_t>(spill_run -
+                                                       sinks.begin())];
+    const auto v2_size =
+        std::filesystem::file_size(spill_path_for(spec, spill_dir, seed));
+    const std::uint64_t v1_size =
+        v2_size - (store::glvt::kHeaderFixedBytesV2 -
+                   store::glvt::kHeaderFixedBytes) +
+        run.grid_bytes_saved;
     const double ratio = v2_size > 0 ? static_cast<double>(v1_size) /
                                            static_cast<double>(v2_size)
                                      : 0.0;
-
-    const auto replay_planes = [&](const std::string& path,
-                                   double& replay_seconds) {
-      store::SpillReader format_reader(path);
-      store::DigitizingSink digitizer(tracked, threshold);
-      const auto start = std::chrono::steady_clock::now();
-      format_reader.replay(digitizer);
-      replay_seconds = seconds_since(start);
-      return digitizer.planes();
-    };
-    double v1_replay = 0.0;
-    double v2_replay = 0.0;
-    const bool formats_identical =
-        replay_planes(v1_path, v1_replay) == replay_planes(v2_path, v2_replay);
-
     std::cout << "\n--- format: .glvt v1 vs v2 ---\n"
               << "v1 size:    " << v1_size << " bytes (raw time column)\n"
               << "v2 size:    " << v2_size << " bytes (implicit-grid times)\n"
               << "ratio:      " << util::format_double(ratio, 2)
-              << "x smaller\n"
-              << "v1 and v2 replays digitize bit-identically: "
-              << (formats_identical ? "yes" : "NO") << "\n";
-    if (timings) {
-      std::cout << "write:      v1 " << util::format_double(v1_write, 3)
-                << " s, v2 " << util::format_double(v2_write, 3) << " s\n"
-                << "replay:     v1 " << util::format_double(v1_replay, 3)
-                << " s, v2 " << util::format_double(v2_replay, 3) << " s\n";
-    }
-    if (!formats_identical) rc = 1;
+              << "x smaller\n";
     const double min_ratio = cli.get_double("min-size-ratio");
     if (min_ratio > 0.0 && ratio < min_ratio) {
       std::cout << "size ratio below --min-size-ratio "

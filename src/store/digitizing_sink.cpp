@@ -25,12 +25,16 @@ DigitizingSink::DigitizingSink(std::vector<std::string> species_ids,
   if (spill.path.empty()) {
     throw InvalidArgument("DigitizingSink: spill path must not be empty");
   }
-  if (spill.chunk_samples == 0 || spill.chunk_samples % 64 != 0) {
-    throw InvalidArgument(
-        "DigitizingSink: spill chunk_samples must be a positive multiple "
-        "of 64");
-  }
-  spill_ = std::move(spill);
+  // The bit-plane header records the ADC threshold the planes are
+  // digitized at: the self-description a replay needs to refuse a ThVAL
+  // mismatch.
+  archive_.emplace(std::move(spill.path), "DigitizingSink",
+                   glvt::FileWriter::Header{
+                       .content = glvt::ContentKind::kBits,
+                       .threshold = threshold_,
+                       .seed = spill.seed,
+                       .sampling_period = spill.sampling_period,
+                       .chunk_capacity = spill.chunk_samples});
 }
 
 void DigitizingSink::begin(const std::vector<std::string>& species_names) {
@@ -56,84 +60,36 @@ void DigitizingSink::begin(const std::vector<std::string>& species_names) {
   samples_ = 0;
   tail_committed_ = false;
 
-  if (!spill_.path.empty()) {
-    spill_offsets_.clear();
+  if (archive_) {
     spilled_samples_ = 0;
-    spill_file_.open(spill_.path, std::ios::binary | std::ios::in |
-                                      std::ios::out | std::ios::trunc);
-    if (!spill_file_) {
-      throw StorageError("DigitizingSink: cannot open spill file: " +
-                         spill_.path);
-    }
-    // The v2 bit-plane header: same prefix as an analog file, content
-    // kind kBits, and the ADC threshold the planes were digitized at —
-    // the self-description a replay needs to refuse a ThVAL mismatch.
-    std::string header;
-    header.append(glvt::kMagic, sizeof glvt::kMagic);
-    glvt::append_u32(header, glvt::kVersion);
-    glvt::append_u64(header, spill_.seed);
-    glvt::append_f64(header, spill_.sampling_period);
-    glvt::append_u32(header, static_cast<std::uint32_t>(species_ids_.size()));
-    glvt::append_u32(header, spill_.chunk_samples);
-    glvt::append_u64(header, 0);  // sample_count, patched in finish()
-    glvt::append_u64(header, 0);  // chunk_count, patched in finish()
-    glvt::append_u64(header, 0);  // index_offset, patched in finish()
-    glvt::append_u32(header,
-                     static_cast<std::uint32_t>(glvt::ContentKind::kBits));
-    glvt::append_f64(header, threshold_);
-    for (const auto& id : species_ids_) {
-      glvt::append_u32(header, static_cast<std::uint32_t>(id.size()));
-      header.append(id);
-    }
-    spill_file_.write(header.data(),
-                      static_cast<std::streamsize>(header.size()));
-    if (!spill_file_) {
-      throw StorageError("DigitizingSink: header write failed: " +
-                         spill_.path);
-    }
-    spill_write_offset_ = header.size();
+    archive_->open(species_ids_);
   }
 }
 
 void DigitizingSink::spill_chunks(bool final) {
-  if (spill_.path.empty()) return;
+  if (!archive_) return;
   // Only whole committed words spill (pending bits stay in their
   // registers); the tail chunk on `final` picks up the ragged end after
   // finish() commits it.
+  const std::uint64_t capacity = archive_->header().chunk_capacity;
   const std::uint64_t committed =
       final ? samples_ : samples_ - samples_ % logic::BitStream::kWordBits;
   for (;;) {
     const std::uint64_t available = committed - spilled_samples_;
     if (available == 0) break;
-    std::uint64_t take = std::min<std::uint64_t>(available,
-                                                 spill_.chunk_samples);
-    if (take < spill_.chunk_samples && !final) break;
+    const std::uint64_t take = std::min(available, capacity);
+    if (take < capacity && !final) break;
     const std::size_t first_word =
         static_cast<std::size_t>(spilled_samples_ / 64);
     const std::size_t chunk_words = static_cast<std::size_t>((take + 63) / 64);
-
-    spill_chunk_.clear();
-    glvt::append_u32(spill_chunk_, glvt::kChunkMagic);
-    glvt::append_u32(spill_chunk_, static_cast<std::uint32_t>(take));
+    std::string& chunk =
+        archive_->begin_chunk(static_cast<std::uint32_t>(take));
     for (const logic::BitStream& plane : planes_) {
       glvt::encode_words_section(plane.words().data() + first_word,
-                                 chunk_words, spill_chunk_);
+                                 chunk_words, chunk);
     }
-    spill_offsets_.push_back(spill_write_offset_);
-    spill_file_.write(spill_chunk_.data(),
-                      static_cast<std::streamsize>(spill_chunk_.size()));
-    if (!spill_file_) {
-      throw StorageError("DigitizingSink: chunk write failed: " + spill_.path);
-    }
-    spill_write_offset_ += spill_chunk_.size();
+    archive_->write_chunk();
     spilled_samples_ += take;
-
-    static obs::Counter& bytes_written =
-        obs::counter("store.spill.bytes_written");
-    static obs::Counter& chunks_flushed =
-        obs::counter("store.spill.chunks_flushed");
-    bytes_written.add(spill_chunk_.size());
-    chunks_flushed.increment();
   }
 }
 
@@ -253,31 +209,9 @@ void DigitizingSink::finish() {
     samples.add(samples_);
   }
 
-  if (!spill_.path.empty()) {
+  if (archive_) {
     spill_chunks(true);
-    const std::uint64_t index_offset = spill_write_offset_;
-    std::string index;
-    for (const std::uint64_t offset : spill_offsets_) {
-      glvt::append_u64(index, offset);
-    }
-    spill_file_.write(index.data(),
-                      static_cast<std::streamsize>(index.size()));
-    // Same crash-safety patch order as SpillSink: counts first,
-    // index_offset (the finished-file sentinel) last.
-    std::string patch;
-    glvt::append_u64(patch, static_cast<std::uint64_t>(samples_));
-    glvt::append_u64(patch, static_cast<std::uint64_t>(spill_offsets_.size()));
-    spill_file_.seekp(static_cast<std::streamoff>(glvt::kSampleCountOffset));
-    spill_file_.write(patch.data(), static_cast<std::streamsize>(patch.size()));
-    patch.clear();
-    glvt::append_u64(patch, index_offset);
-    spill_file_.seekp(static_cast<std::streamoff>(glvt::kIndexOffsetOffset));
-    spill_file_.write(patch.data(), static_cast<std::streamsize>(patch.size()));
-    spill_file_.flush();
-    if (!spill_file_) {
-      throw StorageError("DigitizingSink: finalize failed: " + spill_.path);
-    }
-    spill_file_.close();
+    archive_->finish(samples_);
   }
 }
 

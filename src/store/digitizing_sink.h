@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,8 +35,9 @@ public:
   /// also streamed chunk-wise into a v2 bit-plane `.glvt` file (header
   /// `content_kind = kBits`, `kWords` sections — see `store/glvt.h`), so
   /// a digitized run leaves a replayable artifact 64× smaller than the
-  /// analog spill. The words are written straight from the in-memory
-  /// planes — no re-encoding, no extra buffering — and `SpillReader::
+  /// analog spill. The words are copied straight from the in-memory
+  /// planes — no re-encoding, no extra buffering — and written through
+  /// the same `glvt::FileWriter` as `SpillSink`'s; `SpillReader::
   /// read_planes` hands them back bit-identically with no re-thresholding.
   struct SpillOptions {
     std::string path;
@@ -84,8 +85,8 @@ public:
   void finish() override;
 
   /// The spill tee's file path ("" when the tee is off).
-  [[nodiscard]] const std::string& spill_path() const noexcept {
-    return spill_.path;
+  [[nodiscard]] std::string spill_path() const {
+    return archive_ ? archive_->path() : std::string();
   }
 
   [[nodiscard]] std::size_t sample_count() const noexcept { return samples_; }
@@ -109,8 +110,8 @@ private:
   /// and 64 pending bits).
   void commit_words();
 
-  /// Stream every complete chunk of committed plane words to the spill
-  /// file; `final` also flushes the ragged tail chunk. No-op without the
+  /// Write every complete chunk of committed plane words to the spill
+  /// file; `final` also writes the ragged tail chunk. No-op without the
   /// tee.
   void spill_chunks(bool final);
 
@@ -123,13 +124,8 @@ private:
   std::size_t samples_ = 0;  ///< total samples, committed + pending
   bool tail_committed_ = false;
 
-  // Spill tee state (inactive when spill_.path is empty).
-  SpillOptions spill_;
-  std::fstream spill_file_;
-  std::vector<std::uint64_t> spill_offsets_;  ///< chunk file offsets
-  std::uint64_t spilled_samples_ = 0;  ///< samples already on disk
-  std::uint64_t spill_write_offset_ = 0;
-  std::string spill_chunk_;  ///< chunk build buffer, reused
+  std::optional<glvt::FileWriter> archive_;  ///< the spill tee, if any
+  std::uint64_t spilled_samples_ = 0;        ///< samples already on disk
 };
 
 }  // namespace glva::store

@@ -1,7 +1,9 @@
 #include "store/glvt.h"
 
 #include <cstring>
+#include <utility>
 
+#include "obs/metrics.h"
 #include "util/errors.h"
 
 namespace glva::store::glvt {
@@ -119,13 +121,6 @@ void decode_section_into(std::string_view buffer, std::size_t& offset,
   }
 }
 
-std::vector<double> decode_section(std::string_view buffer,
-                                   std::size_t& offset, std::size_t count) {
-  std::vector<double> values;
-  decode_section_into(buffer, offset, count, values);
-  return values;
-}
-
 bool encode_time_section(const std::vector<double>& times,
                          std::uint64_t first_sample, double sampling_period,
                          std::string& out) {
@@ -204,6 +199,86 @@ void decode_words_section(std::string_view buffer, std::size_t& offset,
   words.resize(start + word_count);
   std::memcpy(words.data() + start, buffer.data() + offset, payload_bytes);
   offset += payload_bytes;
+}
+
+FileWriter::FileWriter(std::string path, const char* owner, Header header)
+    : path_(std::move(path)), owner_(owner), header_(header) {
+  if (header_.chunk_capacity == 0 || header_.chunk_capacity % 64 != 0) {
+    throw InvalidArgument(std::string(owner_) +
+                          ": chunk_samples must be a positive multiple of 64");
+  }
+}
+
+void FileWriter::open(const std::vector<std::string>& names) {
+  file_.open(path_, std::ios::binary | std::ios::in | std::ios::out |
+                        std::ios::trunc);
+  if (!file_) fail("cannot open spill file");
+
+  std::string bytes;
+  bytes.append(kMagic, sizeof kMagic);
+  append_u32(bytes, kVersion);
+  append_u64(bytes, header_.seed);
+  append_f64(bytes, header_.sampling_period);
+  append_u32(bytes, static_cast<std::uint32_t>(names.size()));
+  append_u32(bytes, header_.chunk_capacity);
+  append_u64(bytes, 0);  // sample_count, patched in finish()
+  append_u64(bytes, 0);  // chunk_count, patched in finish()
+  append_u64(bytes, 0);  // index_offset, patched in finish()
+  append_u32(bytes, static_cast<std::uint32_t>(header_.content));
+  append_f64(bytes, header_.threshold);
+  for (const auto& name : names) {
+    append_u32(bytes, static_cast<std::uint32_t>(name.size()));
+    bytes.append(name);
+  }
+  file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!file_) fail("header write failed");
+  chunk_offsets_.clear();
+  write_offset_ = bytes.size();
+}
+
+std::string& FileWriter::begin_chunk(std::uint32_t samples) {
+  chunk_.clear();
+  append_u32(chunk_, kChunkMagic);
+  append_u32(chunk_, samples);
+  return chunk_;
+}
+
+void FileWriter::write_chunk() {
+  file_.write(chunk_.data(), static_cast<std::streamsize>(chunk_.size()));
+  if (!file_) fail("chunk write failed");
+  chunk_offsets_.push_back(write_offset_);
+  write_offset_ += chunk_.size();
+
+  static obs::Counter& bytes_written =
+      obs::counter("store.spill.bytes_written");
+  static obs::Counter& chunks_flushed =
+      obs::counter("store.spill.chunks_flushed");
+  bytes_written.add(chunk_.size());
+  chunks_flushed.increment();
+}
+
+void FileWriter::finish(std::uint64_t sample_count) {
+  std::string bytes;
+  for (const std::uint64_t offset : chunk_offsets_) append_u64(bytes, offset);
+  file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  bytes.clear();
+  append_u64(bytes, sample_count);
+  append_u64(bytes, static_cast<std::uint64_t>(chunk_offsets_.size()));
+  file_.seekp(static_cast<std::streamoff>(kSampleCountOffset));
+  file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.clear();
+  append_u64(bytes, write_offset_);  // index_offset: the index follows the chunks
+  file_.seekp(static_cast<std::streamoff>(kIndexOffsetOffset));
+  file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  file_.flush();
+  if (!file_) fail("finalize failed");
+  file_.close();
+}
+
+void FileWriter::fail(const char* what) const {
+  throw StorageError(std::string(owner_) + ": " + what + ": " + path_);
 }
 
 }  // namespace glva::store::glvt

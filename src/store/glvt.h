@@ -2,12 +2,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-/// The `.glvt` ("GLVA trace") on-disk format shared by `SpillSink`
-/// (writer) and `SpillReader` (reader). One file is one uniformly sampled
+/// The `.glvt` ("GLVA trace") on-disk format: its section codecs, the one
+/// writer both archive sinks share (`FileWriter`, below), and the layout
+/// `SpillReader` decodes. One file is one uniformly sampled
 /// multi-species trace, stored as a fixed header followed by fixed-capacity
 /// chunks and a trailing chunk index:
 ///
@@ -37,7 +39,7 @@
 /// `BitStream` words — the chunk payload of a *digitized* file, written by
 /// `DigitizingSink` and handed back to the packed analyzer with no
 /// re-thresholding). Version 1 files carry neither and still decode byte
-/// for byte; writers can emit either version (`SpillSink::Options`).
+/// for byte; the writer emits version 2 only.
 ///
 /// See `docs/STORAGE.md` for the full layout diagram.
 namespace glva::store::glvt {
@@ -92,18 +94,14 @@ void append_f64(std::string& out, double value);
 void encode_section(const std::vector<double>& values, std::string& out);
 
 /// Decode one section of exactly `count` doubles from `buffer` starting at
-/// `offset`; advances `offset` past the section. Throws glva::StorageError
-/// on a truncated payload, an unknown encoding tag, or an RLE stream whose
-/// run lengths do not sum to `count`. (`buffer` is a view so chunk bytes
-/// can come from a read buffer or straight from a memory-mapped file.)
-[[nodiscard]] std::vector<double> decode_section(std::string_view buffer,
-                                                 std::size_t& offset,
-                                                 std::size_t count);
-
-/// Allocation-reusing form of `decode_section`: `values` is cleared and
-/// refilled in place (raw sections land as one memcpy), so a chunked
-/// replay that hands the same column vectors back per chunk decodes with
-/// no per-chunk allocations after the first. Same error contract.
+/// `offset` into `values`, advancing `offset` past the section. `values` is
+/// cleared and refilled in place (raw sections land as one memcpy), so a
+/// chunked replay that hands the same column vectors back per chunk
+/// decodes with no per-chunk allocations after the first. Throws
+/// glva::StorageError on a truncated payload, an unknown encoding tag, or
+/// an RLE stream whose run lengths do not sum to `count`. (`buffer` is a
+/// view so chunk bytes can come from a read buffer or straight from a
+/// memory-mapped file.)
 void decode_section_into(std::string_view buffer, std::size_t& offset,
                          std::size_t count, std::vector<double>& values);
 
@@ -145,5 +143,69 @@ void encode_words_section(const std::uint64_t* words, std::size_t word_count,
 void decode_words_section(std::string_view buffer, std::size_t& offset,
                           std::size_t word_count,
                           std::vector<std::uint64_t>& words);
+
+/// The one `.glvt` writer, shared by `SpillSink` (analog columns) and
+/// `DigitizingSink`'s bit-plane tee (`kWords` planes). It owns the file
+/// framing — the v2 header, each chunk's magic, sample count and offset,
+/// the `store.spill.bytes_written` and `store.spill.chunks_flushed`
+/// counters, and the index write and header patch that finish a file — so
+/// a sink encodes only its chunk sections. Chunks go straight to one
+/// buffered stream on the caller's thread. Every failure throws
+/// glva::StorageError naming the owning sink and the path.
+class FileWriter {
+public:
+  /// The header fields besides the species names.
+  struct Header {
+    ContentKind content = ContentKind::kAnalog;
+    /// The ADC threshold a `kBits` file is digitized at; 0 for analog.
+    double threshold = 0.0;
+    std::uint64_t seed = 0;
+    double sampling_period = 1.0;
+    /// Samples per chunk; must be a positive multiple of 64.
+    std::uint32_t chunk_capacity = kDefaultChunkSamples;
+  };
+
+  /// Touches no file yet. `owner` (a string literal) prefixes every error
+  /// message. Throws glva::InvalidArgument for a zero or
+  /// non-multiple-of-64 chunk capacity.
+  FileWriter(std::string path, const char* owner, Header header);
+
+  /// Create or truncate the file and write the header, one name per
+  /// column; sample_count, chunk_count and index_offset stay zero until
+  /// finish().
+  void open(const std::vector<std::string>& names);
+
+  /// Start the next chunk, of `samples` samples: returns the reused build
+  /// buffer, already holding the chunk magic and sample count. Append the
+  /// chunk's sections to it, then call write_chunk().
+  [[nodiscard]] std::string& begin_chunk(std::uint32_t samples);
+
+  /// Write the chunk built since begin_chunk() and record its offset.
+  void write_chunk();
+
+  /// Write the chunk index, patch sample_count and chunk_count, then
+  /// index_offset last, so a crash mid-patch still reads as unfinished;
+  /// then flush and close. A file whose writer never reaches this keeps
+  /// index_offset == 0, and `SpillReader` rejects it.
+  void finish(std::uint64_t sample_count);
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const Header& header() const noexcept { return header_; }
+  [[nodiscard]] std::size_t chunk_count() const noexcept {
+    return chunk_offsets_.size();
+  }
+
+private:
+  /// Throw glva::StorageError "<owner>: <what>: <path>".
+  [[noreturn]] void fail(const char* what) const;
+
+  std::string path_;
+  const char* owner_;
+  Header header_;
+  std::fstream file_;
+  std::string chunk_;  ///< chunk build buffer, reused
+  std::vector<std::uint64_t> chunk_offsets_;
+  std::uint64_t write_offset_ = 0;  ///< file offset of the next chunk
+};
 
 }  // namespace glva::store::glvt

@@ -101,14 +101,32 @@ SpillReader::SpillReader(std::string path) : path_(std::move(path)) {
   if (chunk_capacity_ == 0 || chunk_capacity_ % 64 != 0) {
     throw StorageError("SpillReader: corrupt chunk capacity: " + path_);
   }
+  const std::uint64_t fixed_bytes = version_ >= 2 ? glvt::kHeaderFixedBytesV2
+                                                  : glvt::kHeaderFixedBytes;
   // Division, not multiplication: a crafted chunk_count near 2^61 would
   // wrap `chunk_count * 8` and slip past the fit check, then blow up in
   // reserve() below with the wrong exception type.
-  if (index_offset_ > file_size ||
+  if (index_offset_ < fixed_bytes || index_offset_ > file_size ||
       (file_size - index_offset_) % sizeof(std::uint64_t) != 0 ||
       chunk_count != (file_size - index_offset_) / sizeof(std::uint64_t)) {
     throw StorageError("SpillReader: chunk index does not fit the file: " +
                        path_);
+  }
+  // Every name costs at least its u32 length, all before the chunks: this
+  // bounds the reserve() below by the file, not by a crafted count.
+  if (species_count > (index_offset_ - fixed_bytes) / sizeof(std::uint32_t)) {
+    throw StorageError("SpillReader: species count does not fit the file: " +
+                       path_);
+  }
+  // Every chunk but the last is full, so the count fixes the chunk count:
+  // ceil(sample_count / chunk_capacity) == chunk_count, computed without
+  // overflow (and zero samples means zero chunks). This bounds what a
+  // crafted sample_count can make read_planes() reserve.
+  if (sample_count_ / chunk_capacity_ +
+          (sample_count_ % chunk_capacity_ != 0 ? 1 : 0) !=
+      chunk_count) {
+    throw StorageError(
+        "SpillReader: sample count does not fit the chunk index: " + path_);
   }
 
   species_names_.reserve(species_count);
@@ -194,15 +212,15 @@ void SpillReader::require_content(glvt::ContentKind want,
                      path_);
 }
 
-void SpillReader::read_chunk_into(std::size_t index, Chunk& chunk) {
-  require_content(glvt::ContentKind::kAnalog, "read_chunk");
+template <typename DecodeSections>
+void SpillReader::decode_chunk(std::size_t index,
+                               DecodeSections&& decode_sections) {
   if (index >= chunk_offsets_.size()) {
     throw InvalidArgument("SpillReader::read_chunk: index out of range");
   }
+  const bool last = index + 1 == chunk_offsets_.size();
   const std::uint64_t begin = chunk_offsets_[index];
-  const std::uint64_t end = index + 1 < chunk_offsets_.size()
-                                ? chunk_offsets_[index + 1]
-                                : index_offset_;
+  const std::uint64_t end = last ? index_offset_ : chunk_offsets_[index + 1];
   if (end <= begin) {
     throw StorageError("SpillReader: corrupt chunk index: " + path_);
   }
@@ -213,26 +231,40 @@ void SpillReader::read_chunk_into(std::size_t index, Chunk& chunk) {
       take<std::uint32_t>(bytes, offset) != glvt::kChunkMagic) {
     throw StorageError("SpillReader: bad chunk magic: " + path_);
   }
+  // Every chunk but the last is exactly full and the last holds the rest
+  // (the header check at open makes that 1..chunk_capacity samples), so
+  // the chunks cover sample_count() exactly: chunk i starts at sample
+  // i · chunk_capacity, and planes concatenate word-aligned.
   const auto samples = take<std::uint32_t>(bytes, offset);
-  if (samples == 0 || samples > chunk_capacity_) {
+  const std::uint64_t expected =
+      last ? sample_count_ - static_cast<std::uint64_t>(index) * chunk_capacity_
+           : chunk_capacity_;
+  if (samples != expected) {
     throw StorageError("SpillReader: corrupt chunk sample count: " + path_);
   }
-
-  chunk.first_sample =
-      static_cast<std::uint64_t>(index) * chunk_capacity_;
-  if (version_ >= 2) {
-    glvt::decode_time_section_into(bytes, offset, samples, chunk.first_sample,
-                                   sampling_period_, chunk.times);
-  } else {
-    glvt::decode_section_into(bytes, offset, samples, chunk.times);
-  }
-  chunk.series.resize(species_names_.size());
-  for (std::size_t s = 0; s < species_names_.size(); ++s) {
-    glvt::decode_section_into(bytes, offset, samples, chunk.series[s]);
-  }
+  decode_sections(bytes, offset, samples);
   if (offset != bytes.size()) {
     throw StorageError("SpillReader: trailing bytes in chunk: " + path_);
   }
+}
+
+void SpillReader::read_chunk_into(std::size_t index, Chunk& chunk) {
+  require_content(glvt::ContentKind::kAnalog, "read_chunk");
+  chunk.first_sample = static_cast<std::uint64_t>(index) * chunk_capacity_;
+  chunk.series.resize(species_names_.size());
+  decode_chunk(index, [&](std::string_view bytes, std::size_t& offset,
+                          std::uint32_t samples) {
+    if (version_ >= 2) {
+      glvt::decode_time_section_into(bytes, offset, samples,
+                                     chunk.first_sample, sampling_period_,
+                                     chunk.times);
+    } else {
+      glvt::decode_section_into(bytes, offset, samples, chunk.times);
+    }
+    for (auto& series : chunk.series) {
+      glvt::decode_section_into(bytes, offset, samples, series);
+    }
+  });
 }
 
 SpillReader::Chunk SpillReader::read_chunk(std::size_t index) {
@@ -256,66 +288,6 @@ void SpillReader::replay(TraceSink& sink) {
   sink.finish();
 }
 
-void SpillReader::replay_rows(TraceSink& sink) {
-  // The pre-block-path replay, preserved as the reference the block path
-  // must be bit-identical to and the baseline `bench_trace_io` measures
-  // against: buffered ifstream reads (no mapping), a freshly allocated
-  // decode per chunk, and one append per sample row. (Time decode is
-  // version-dispatched like the block path — a v2 grid column must
-  // reconstruct identically whichever replay runs.)
-  require_content(glvt::ContentKind::kAnalog, "replay_rows");
-  sink.begin(species_names_);
-  std::vector<double> row(species_names_.size());
-  for (std::size_t c = 0; c < chunk_offsets_.size(); ++c) {
-    const std::uint64_t begin = chunk_offsets_[c];
-    const std::uint64_t end = c + 1 < chunk_offsets_.size()
-                                  ? chunk_offsets_[c + 1]
-                                  : index_offset_;
-    if (end <= begin) {
-      throw StorageError("SpillReader: corrupt chunk index: " + path_);
-    }
-    file_.clear();
-    file_.seekg(static_cast<std::streamoff>(begin));
-    const std::string buffer =
-        read_bytes(file_, static_cast<std::size_t>(end - begin), "chunk");
-
-    std::size_t offset = 0;
-    if (buffer.size() < 2 * sizeof(std::uint32_t) ||
-        take<std::uint32_t>(buffer, offset) != glvt::kChunkMagic) {
-      throw StorageError("SpillReader: bad chunk magic: " + path_);
-    }
-    const auto samples = take<std::uint32_t>(buffer, offset);
-    if (samples == 0 || samples > chunk_capacity_) {
-      throw StorageError("SpillReader: corrupt chunk sample count: " + path_);
-    }
-    std::vector<double> times;
-    if (version_ >= 2) {
-      glvt::decode_time_section_into(
-          buffer, offset, samples,
-          static_cast<std::uint64_t>(c) * chunk_capacity_, sampling_period_,
-          times);
-    } else {
-      glvt::decode_section_into(buffer, offset, samples, times);
-    }
-    std::vector<std::vector<double>> series;
-    series.reserve(species_names_.size());
-    for (std::size_t s = 0; s < species_names_.size(); ++s) {
-      series.push_back(glvt::decode_section(buffer, offset, samples));
-    }
-    if (offset != buffer.size()) {
-      throw StorageError("SpillReader: trailing bytes in chunk: " + path_);
-    }
-
-    for (std::size_t k = 0; k < times.size(); ++k) {
-      for (std::size_t s = 0; s < row.size(); ++s) {
-        row[s] = series[s][k];
-      }
-      sink.append(times[k], row);
-    }
-  }
-  sink.finish();
-}
-
 sim::Trace SpillReader::read_all() {
   MemorySink sink;
   replay(sink);
@@ -324,48 +296,29 @@ sim::Trace SpillReader::read_all() {
 
 std::vector<logic::BitStream> SpillReader::read_planes() {
   require_content(glvt::ContentKind::kBits, "read_planes");
-  const std::size_t total_words =
-      static_cast<std::size_t>((sample_count_ + 63) / 64);
-  std::vector<std::vector<std::uint64_t>> words(species_names_.size());
-  for (auto& plane : words) plane.reserve(total_words);
-
-  std::uint64_t seen = 0;
-  for (std::size_t c = 0; c < chunk_offsets_.size(); ++c) {
-    const std::uint64_t begin = chunk_offsets_[c];
-    const std::uint64_t end = c + 1 < chunk_offsets_.size()
-                                  ? chunk_offsets_[c + 1]
-                                  : index_offset_;
-    if (end <= begin) {
-      throw StorageError("SpillReader: corrupt chunk index: " + path_);
-    }
-    const std::string_view bytes = file_bytes(begin, end);
-
-    std::size_t offset = 0;
-    if (bytes.size() < 2 * sizeof(std::uint32_t) ||
-        take<std::uint32_t>(bytes, offset) != glvt::kChunkMagic) {
-      throw StorageError("SpillReader: bad chunk magic: " + path_);
-    }
-    const auto samples = take<std::uint32_t>(bytes, offset);
-    // Planes concatenate across chunks, so every chunk but the last must
-    // be exactly full — a short interior chunk would shift every later
-    // sample (the analog replay tolerates it; word alignment cannot).
-    const bool last = c + 1 == chunk_offsets_.size();
-    if (samples == 0 || samples > chunk_capacity_ ||
-        (!last && samples != chunk_capacity_)) {
-      throw StorageError("SpillReader: corrupt chunk sample count: " + path_);
-    }
-    const std::size_t chunk_words = (samples + 63) / 64;
-    for (std::size_t s = 0; s < species_names_.size(); ++s) {
-      glvt::decode_words_section(bytes, offset, chunk_words, words[s]);
-    }
-    if (offset != bytes.size()) {
-      throw StorageError("SpillReader: trailing bytes in chunk: " + path_);
-    }
-    seen += samples;
+  const std::uint64_t total_words = (sample_count_ + 63) / 64;
+  // Every plane stores all of its words before the index, so a count the
+  // file cannot hold is corrupt: caught before it sizes an allocation
+  // (a crafted chunk capacity lets a tiny file claim ~2^29 samples per
+  // byte of index).
+  if (!species_names_.empty() &&
+      total_words > index_offset_ / sizeof(std::uint64_t)) {
+    throw StorageError("SpillReader: sample count does not fit the file: " +
+                       path_);
   }
-  if (seen != sample_count_) {
-    throw StorageError(
-        "SpillReader: chunk samples do not cover the header count: " + path_);
+  std::vector<std::vector<std::uint64_t>> words(species_names_.size());
+  for (auto& plane : words) {
+    plane.reserve(static_cast<std::size_t>(total_words));
+  }
+
+  for (std::size_t c = 0; c < chunk_offsets_.size(); ++c) {
+    decode_chunk(c, [&](std::string_view bytes, std::size_t& offset,
+                        std::uint32_t samples) {
+      const std::size_t chunk_words = (samples + 63) / 64;
+      for (auto& plane : words) {
+        glvt::decode_words_section(bytes, offset, chunk_words, plane);
+      }
+    });
   }
 
   std::vector<logic::BitStream> planes;

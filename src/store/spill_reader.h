@@ -48,7 +48,9 @@ public:
 
   /// Opens and validates. Throws glva::StorageError for an unreadable
   /// path, wrong magic, unsupported version, an unfinished/truncated file,
-  /// or a chunk index that does not fit the file.
+  /// a chunk index that does not fit the file, or header counts the file
+  /// cannot hold (more species names than bytes for them, a sample count
+  /// that needs a different number of chunks).
   explicit SpillReader(std::string path);
   ~SpillReader();
 
@@ -87,7 +89,10 @@ public:
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
   /// Decode chunk `index`. Throws glva::InvalidArgument for an
-  /// out-of-range index and glva::StorageError for a corrupt chunk.
+  /// out-of-range index and glva::StorageError for a corrupt chunk —
+  /// including one whose sample count is not its share of the header's
+  /// (`chunk_capacity()` for every chunk but the last, the rest for the
+  /// last).
   [[nodiscard]] Chunk read_chunk(std::size_t index);
 
   /// Allocation-reusing form of `read_chunk`: refills `chunk` in place
@@ -104,11 +109,6 @@ public:
   /// materializing it. Chunk capacities are multiples of 64, so every
   /// block a digitizing sink sees is word-aligned.
   void replay(TraceSink& sink);
-
-  /// Row-wise replay (begin → one append per sample → finish): the
-  /// reference path `replay` is bit-identical to, kept for the
-  /// block-vs-row equivalence tests and the `bench_trace_io` comparison.
-  void replay_rows(TraceSink& sink);
 
   /// Re-materialize the full trace (replay into a MemorySink).
   [[nodiscard]] sim::Trace read_all();
@@ -135,6 +135,15 @@ private:
   /// Throw glva::StorageError unless the file's content kind is `want` —
   /// the analog/bit-plane API guard.
   void require_content(glvt::ContentKind want, const char* api) const;
+
+  /// The chunk framing check both chunk decoders share: bounds-check
+  /// `index` (glva::InvalidArgument), take the chunk's bytes, check its
+  /// magic and that its sample count is its share of the header's, hand
+  /// `(bytes, offset past the prefix, samples)` to `decode_sections`,
+  /// then require that the sections used every byte (glva::StorageError
+  /// for each failure).
+  template <typename DecodeSections>
+  void decode_chunk(std::size_t index, DecodeSections&& decode_sections);
 
   std::string path_;
   std::ifstream file_;

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -108,12 +109,30 @@ void expect_extractions_identical(const core::ExtractionResult& a,
   }
 }
 
+/// Overwrite a native-endian header field of a `.glvt` image.
+void set_u32(std::string& bytes, std::size_t offset, std::uint32_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+void set_u64(std::string& bytes, std::size_t offset, std::uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
 std::string read_file_bytes(const fs::path& path) {
   std::ifstream file(path, std::ios::binary);
   EXPECT_TRUE(file.good()) << "cannot open " << path;
   std::ostringstream bytes;
   bytes << file.rdbuf();
   return bytes.str();
+}
+
+/// The bit-plane tee the spill tests write: chunk 64, seed 9, period 0.5.
+store::DigitizingSink::SpillOptions plane_spill(const fs::path& path) {
+  store::DigitizingSink::SpillOptions spill;
+  spill.path = path.string();
+  spill.chunk_samples = 64;
+  spill.seed = 9;
+  spill.sampling_period = 0.5;
+  return spill;
 }
 
 // --------------------------------------------------------------- SinkKind
@@ -146,8 +165,8 @@ TEST(GlvtCodec, SectionRoundTripPreservesBitPatterns) {
   std::string buffer;
   store::glvt::encode_section(values, buffer);
   std::size_t offset = 0;
-  const std::vector<double> decoded =
-      store::glvt::decode_section(buffer, offset, values.size());
+  std::vector<double> decoded;
+  store::glvt::decode_section_into(buffer, offset, values.size(), decoded);
   EXPECT_EQ(offset, buffer.size());
   ASSERT_EQ(decoded.size(), values.size());
   EXPECT_EQ(std::memcmp(decoded.data(), values.data(),
@@ -163,8 +182,9 @@ TEST(GlvtCodec, ConstantRunsCompress) {
   // One RLE run: tag + length + (count, bits) — far below 8000 raw bytes.
   EXPECT_LT(buffer.size(), 64u);
   std::size_t offset = 0;
-  EXPECT_EQ(store::glvt::decode_section(buffer, offset, constant.size()),
-            constant);
+  std::vector<double> decoded;
+  store::glvt::decode_section_into(buffer, offset, constant.size(), decoded);
+  EXPECT_EQ(decoded, constant);
 }
 
 TEST(GlvtCodec, DecodeRejectsTruncationAndBadTags) {
@@ -174,13 +194,14 @@ TEST(GlvtCodec, DecodeRejectsTruncationAndBadTags) {
 
   std::string truncated = buffer.substr(0, buffer.size() - 3);
   std::size_t offset = 0;
-  EXPECT_THROW((void)store::glvt::decode_section(truncated, offset, 3),
+  std::vector<double> decoded;
+  EXPECT_THROW(store::glvt::decode_section_into(truncated, offset, 3, decoded),
                StorageError);
 
   std::string bad_tag = buffer;
   bad_tag[0] = 7;  // neither kRaw nor kRle
   offset = 0;
-  EXPECT_THROW((void)store::glvt::decode_section(bad_tag, offset, 3),
+  EXPECT_THROW(store::glvt::decode_section_into(bad_tag, offset, 3, decoded),
                StorageError);
 }
 
@@ -323,6 +344,61 @@ TEST(Spill, RejectsOversizedHeaderFields) {
   }
   std::ofstream(path, std::ios::binary) << huge_name;
   EXPECT_THROW(store::SpillReader{path.string()}, StorageError);
+
+  // So must a species_count of 0xFFFFFFFF: the names cannot fit the bytes
+  // before the index, and reserving them would throw std::bad_alloc.
+  std::string huge_species = bytes;
+  set_u32(huge_species, 24, 0xFFFFFFFFu);  // species_count
+  std::ofstream(path, std::ios::binary) << huge_species;
+  EXPECT_THROW(store::SpillReader{path.string()}, StorageError);
+
+  // A header count the chunks do not hold: 5 samples claimed, 10 stored.
+  // The file opens (one chunk fits 5 samples), but the replay must refuse
+  // it instead of returning 10 samples.
+  std::string short_count = bytes;
+  set_u64(short_count, store::glvt::kSampleCountOffset, 5);
+  std::ofstream(path, std::ios::binary) << short_count;
+  EXPECT_THROW((void)store::SpillReader{path.string()}.read_all(),
+               StorageError);
+
+  // A bit-plane file claiming 2^62 samples in three chunks: rejected at
+  // open, before read_planes() would reserve 2^56 words per plane.
+  const fs::path planes_path = temp_path("oversized_planes.glvt");
+  {
+    store::DigitizingSink planes({"A", "B", "GFP"}, 15.0,
+                                 plane_spill(planes_path));
+    stream_trace(synthetic_trace(150), planes);
+  }
+  const std::string plane_bytes = read_file_bytes(planes_path);
+  std::string huge_samples = plane_bytes;
+  set_u64(huge_samples, store::glvt::kSampleCountOffset, 1ull << 62);
+  std::ofstream(planes_path, std::ios::binary) << huge_samples;
+  EXPECT_THROW(store::SpillReader{planes_path.string()}, StorageError);
+
+  // The same claim made consistent through a crafted chunk capacity: 1024
+  // index entries of a 2^32 - 64 sample capacity fit 2^42 samples, all
+  // word storage the file does not have. read_planes() must refuse before
+  // it reserves anything.
+  constexpr std::uint32_t kHugeCapacity = 0xFFFFFFC0u;
+  constexpr std::uint64_t kChunks = 1024;
+  std::string huge_capacity = plane_bytes;
+  const std::uint64_t index_offset = [&] {
+    std::uint64_t value;
+    std::memcpy(&value, plane_bytes.data() + store::glvt::kIndexOffsetOffset,
+                sizeof value);
+    return value;
+  }();
+  huge_capacity.resize(static_cast<std::size_t>(index_offset));
+  for (std::uint64_t c = 0; c < kChunks; ++c) {
+    store::glvt::append_u64(huge_capacity, index_offset - 1);
+  }
+  set_u32(huge_capacity, 28, kHugeCapacity);  // chunk_capacity
+  set_u64(huge_capacity, store::glvt::kSampleCountOffset,
+          (kChunks - 1) * kHugeCapacity + 1);
+  set_u64(huge_capacity, store::glvt::kChunkCountOffset, kChunks);
+  std::ofstream(planes_path, std::ios::binary) << huge_capacity;
+  store::SpillReader crafted(planes_path.string());
+  EXPECT_THROW((void)crafted.read_planes(), StorageError);
 }
 
 TEST(Spill, RejectsUnfinishedFile) {
@@ -486,24 +562,6 @@ TEST(SpillV1, GoldenV1FixtureStillDecodesBitForBit) {
   expect_traces_identical(synthetic_trace(150), reader.read_all());
 }
 
-TEST(SpillV1, V1WriterReproducesV1GoldenBytes) {
-  // format_version = 1 must keep emitting the legacy layout byte for byte
-  // (the compat contract the CI size-ratio smoke also leans on).
-  const fs::path path = temp_path("v1_rewrite.glvt");
-  store::SpillSink::Options options;
-  options.chunk_samples = 64;
-  options.seed = 123;
-  options.sampling_period = 0.5;
-  options.format_version = 1;
-  store::SpillSink sink(path.string(), options);
-  stream_trace(synthetic_trace(150), sink);
-
-  EXPECT_TRUE(read_file_bytes(path) ==
-              read_file_bytes(fs::path(GLVA_GOLDEN_DIR) /
-                              "spill_fixed_v1.glvt"))
-      << "v1 writer drifted from the checked-in v1 fixture";
-}
-
 TEST(SpillV1, V1ToV2UpgradeReplayMatchesV2Golden) {
   // Replaying the v1 fixture through a v2 sink is the upgrade path; its
   // bytes must equal the freshly written v2 golden exactly (same samples,
@@ -532,15 +590,6 @@ TEST(SpillV1, V2GoldenIsGridCompressed) {
   EXPECT_LT(fs::file_size(v2_path),
             fs::file_size(fs::path(GLVA_GOLDEN_DIR) / "spill_fixed_v1.glvt"));
   expect_traces_identical(synthetic_trace(150), reader.read_all());
-}
-
-TEST(SpillV1, RejectsUnwritableFormatVersion) {
-  store::SpillSink::Options options;
-  options.chunk_samples = 64;
-  options.format_version = 3;
-  EXPECT_THROW(store::SpillSink("x.glvt", options), InvalidArgument);
-  options.format_version = 0;
-  EXPECT_THROW(store::SpillSink("x.glvt", options), InvalidArgument);
 }
 
 // ---------------------------------------------------- v2 file error paths
@@ -594,15 +643,6 @@ TEST(SpillV2, RejectsBadContentKindAndThresholdFields) {
 }
 
 // ------------------------------------------------------- bit-plane spills
-
-store::DigitizingSink::SpillOptions plane_spill(const fs::path& path) {
-  store::DigitizingSink::SpillOptions spill;
-  spill.path = path.string();
-  spill.chunk_samples = 64;
-  spill.seed = 9;
-  spill.sampling_period = 0.5;
-  return spill;
-}
 
 TEST(BitPlaneSpill, RoundTripMatchesInMemoryPlanes) {
   const sim::Trace trace = synthetic_trace(300);
@@ -721,68 +761,79 @@ TEST(BitPlaneSpill, RejectsCorruptWordsSection) {
   EXPECT_THROW((void)reader.read_planes(), StorageError);
 }
 
-// ------------------------------------------------------ async spill writer
+// ------------------------------------------- archive write-failure contract
 
-TEST(AsyncSpill, SyncEnvEscapeHatchWritesIdenticalBytes) {
-  const sim::Trace trace = synthetic_trace(1000);
-  const fs::path async_path = temp_path("async.glvt");
-  const fs::path sync_path = temp_path("sync.glvt");
+/// The two sinks that write a `.glvt` archive, by name, each opened on the
+/// given path.
+struct ArchiveSinkCase {
+  const char* name;
+  std::unique_ptr<store::TraceSink> (*make)(const std::string& path);
+};
 
-  store::SpillSink::Options options;
-  options.chunk_samples = 64;
-  options.sampling_period = 0.5;
-  {
-    store::SpillSink sink(async_path.string(), options);
-    stream_trace(trace, sink);
+const ArchiveSinkCase kArchiveSinks[] = {
+    {"SpillSink",
+     [](const std::string& path) -> std::unique_ptr<store::TraceSink> {
+       return std::make_unique<store::SpillSink>(
+           path, store::SpillSink::Options{.chunk_samples = 64});
+     }},
+    {"DigitizingSink",
+     [](const std::string& path) -> std::unique_ptr<store::TraceSink> {
+       return std::make_unique<store::DigitizingSink>(
+           std::vector<std::string>{"A", "B", "GFP"}, 15.0,
+           plane_spill(path));
+     }},
+};
+
+/// Run `deliver` and return the StorageError message it raised ("" when
+/// it raised none).
+template <typename Deliver>
+std::string storage_error_of(Deliver&& deliver) {
+  try {
+    deliver();
+  } catch (const StorageError& error) {
+    return error.what();
   }
-  ::setenv("GLVA_SYNC_SPILL", "1", 1);
-  {
-    store::SpillSink sink(sync_path.string(), options);
-    stream_trace(trace, sink);
-  }
-  ::unsetenv("GLVA_SYNC_SPILL");
-
-  EXPECT_TRUE(read_file_bytes(async_path) == read_file_bytes(sync_path))
-      << "GLVA_SYNC_SPILL must be a pure scheduling switch, not a format one";
+  return "";
 }
 
-TEST(AsyncSpill, WriterErrorSurfacesAsStorageError) {
-  // /dev/full accepts the open and fails every flush with ENOSPC — the
-  // canonical injection point for the latched-error contract. The error
-  // may surface from an append (latched by the writer thread) or from
-  // finish(); either way it must be StorageError, not a silent truncation.
-  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full not available";
-  EXPECT_THROW(
-      {
-        store::SpillSink sink("/dev/full", {.chunk_samples = 64});
-        stream_trace(synthetic_trace(20000), sink);
-      },
-      StorageError);
-  // The same contract for holds, which is how the sampler delivers.
-  EXPECT_THROW(
-      {
-        store::SpillSink sink("/dev/full", {.chunk_samples = 64});
-        sink.begin({"A", "B"});
+TEST(ArchiveSinks, WriteFailuresAndAbandonedFilesFollowOneContract) {
+  for (const ArchiveSinkCase& c : kArchiveSinks) {
+    SCOPED_TRACE(c.name);
+    // /dev/full accepts the open and fails every flush with ENOSPC: the
+    // failure must surface as StorageError naming the path, from a
+    // delivery or from finish, never as a silent truncation.
+    if (fs::exists("/dev/full")) {
+      const std::string rows = storage_error_of([&] {
+        const auto sink = c.make("/dev/full");
+        stream_trace(synthetic_trace(20000), *sink);
+      });
+      EXPECT_NE(rows.find("/dev/full"), std::string::npos) << rows;
+      // The same for holds, which is how the sampler delivers.
+      const std::string holds = storage_error_of([&] {
+        const auto sink = c.make("/dev/full");
+        sink->begin({"A", "B", "GFP"});
         const std::vector<double> times(64, 0.0);
-        for (int hold = 0; hold < 400; ++hold) sink.append_hold(times, {1, 2});
-        sink.finish();
-      },
-      StorageError);
-}
-
-TEST(AsyncSpill, DestructionWithoutFinishLeavesRejectedFile) {
-  // Exception-unwind path: the writer thread must join cleanly and the
-  // unfinished file must keep its index_offset == 0 sentinel.
-  const fs::path path = temp_path("abandoned.glvt");
-  {
-    store::SpillSink sink(path.string(), {.chunk_samples = 64});
-    sink.begin({"A", "B"});
-    for (std::size_t k = 0; k < 500; ++k) {
-      sink.append(static_cast<double>(k), {1.0, 2.0});
+        for (int hold = 0; hold < 400; ++hold) {
+          sink->append_hold(times, {1.0, 20.0, 30.0});
+        }
+        sink->finish();
+      });
+      EXPECT_NE(holds.find("/dev/full"), std::string::npos) << holds;
     }
-    // No finish().
+
+    // A sink destroyed without finish() (exception unwinding) leaves the
+    // index_offset == 0 sentinel, which the reader rejects.
+    const fs::path path = temp_path(std::string("abandoned_") + c.name +
+                                    ".glvt");
+    {
+      const auto sink = c.make(path.string());
+      sink->begin({"A", "B", "GFP"});
+      for (std::size_t k = 0; k < 500; ++k) {
+        sink->append(static_cast<double>(k), {1.0, 20.0, 30.0});
+      }
+    }
+    EXPECT_THROW(store::SpillReader{path.string()}, StorageError);
   }
-  EXPECT_THROW(store::SpillReader{path.string()}, StorageError);
 }
 
 // -------------------------------------------------------- DigitizingSink
@@ -1140,30 +1191,24 @@ TEST(AppendHold, MemorySinkBaseLoopMatchesBlocks) {
   }
 }
 
-TEST(AppendHold, SpillSinkWritesIdenticalBytesInBothFormats) {
+TEST(AppendHold, SpillSinkWritesIdenticalBytes) {
   const std::vector<HoldRun> runs = hold_runs(73);
-  for (const std::uint32_t version : {1u, store::glvt::kVersion}) {
-    store::SpillSink::Options options;
-    options.format_version = version;
-    options.sampling_period = kHoldPeriod;
-    const std::string tag = "v" + std::to_string(version);
-    const fs::path block_path = temp_path("hold_blocks_" + tag + ".glvt");
+  store::SpillSink::Options options;
+  options.sampling_period = kHoldPeriod;
+  const fs::path block_path = temp_path("hold_blocks.glvt");
+  {
+    store::SpillSink sink(block_path.string(), options);
+    stream_holds(runs, sink, HoldDelivery::kBlocks, 0);
+  }
+  const std::string block_bytes = read_file_bytes(block_path);
+  for (const HoldDelivery delivery : kHoldDeliveries) {
+    const std::string tag = std::to_string(static_cast<int>(delivery));
+    const fs::path path = temp_path("hold_" + tag + ".glvt");
     {
-      store::SpillSink sink(block_path.string(), options);
-      stream_holds(runs, sink, HoldDelivery::kBlocks, 0);
+      store::SpillSink sink(path.string(), options);
+      stream_holds(runs, sink, delivery, 74);
     }
-    const std::string block_bytes = read_file_bytes(block_path);
-    for (const HoldDelivery delivery : kHoldDeliveries) {
-      const fs::path path = temp_path(
-          "hold_" + tag + "_" + std::to_string(static_cast<int>(delivery)) +
-          ".glvt");
-      {
-        store::SpillSink sink(path.string(), options);
-        stream_holds(runs, sink, delivery, 74);
-      }
-      EXPECT_TRUE(read_file_bytes(path) == block_bytes)
-          << tag << ", delivery " << static_cast<int>(delivery);
-    }
+    EXPECT_TRUE(read_file_bytes(path) == block_bytes) << "delivery " << tag;
   }
 }
 
@@ -1207,25 +1252,29 @@ TEST(AppendHold, RejectsRowsNarrowerThanTheSinkNeeds) {
 
 // ------------------------------------------------------------ chunk replay
 
-TEST(Replay, BlockReplayMatchesRowReplay) {
+TEST(Replay, BlockReplayMatchesRowDelivery) {
   const sim::Trace trace = synthetic_trace(500);
   const fs::path path = temp_path("replay_block.glvt");
   store::SpillSink sink(path.string(), {.chunk_samples = 64});
   stream_trace(trace, sink);
-
   store::SpillReader reader(path.string());
-  store::MemorySink by_rows;
-  reader.replay_rows(by_rows);
+
+  // RowOnlySink receives each replayed block through the base class's
+  // row loop; MemorySink takes it whole.
   store::MemorySink by_blocks;
   reader.replay(by_blocks);
+  RowOnlySink by_rows;
+  reader.replay(by_rows);
   expect_traces_identical(by_rows.trace(), by_blocks.trace());
+  expect_traces_identical(trace, by_blocks.trace());
 
-  store::DigitizingSink digitize_rows({"GFP", "A"}, 10.0);
-  reader.replay_rows(digitize_rows);
-  store::DigitizingSink digitize_blocks({"GFP", "A"}, 10.0);
-  reader.replay(digitize_blocks);
-  EXPECT_EQ(digitize_blocks.planes()[0], digitize_rows.planes()[0]);
-  EXPECT_EQ(digitize_blocks.planes()[1], digitize_rows.planes()[1]);
+  store::DigitizingSink replayed({"GFP", "A"}, 10.0);
+  reader.replay(replayed);
+  store::DigitizingSink streamed({"GFP", "A"}, 10.0);
+  stream_trace(trace, streamed);
+  EXPECT_EQ(replayed.sample_count(), streamed.sample_count());
+  EXPECT_EQ(replayed.planes()[0], streamed.planes()[0]);
+  EXPECT_EQ(replayed.planes()[1], streamed.planes()[1]);
 }
 
 TEST(Replay, ChunkReplayOfGoldenFileIsByteIdentical) {
