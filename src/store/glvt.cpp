@@ -272,9 +272,8 @@ void FileWriter::finish(std::uint64_t sample_count) {
   file_.seekp(static_cast<std::streamoff>(kIndexOffsetOffset));
   file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 
-  file_.flush();
+  file_.close();  // flushes; a failed flush or close sets failbit
   if (!file_) fail("finalize failed");
-  file_.close();
 }
 
 void FileWriter::fail(const char* what) const {

@@ -1252,7 +1252,7 @@ TEST(AppendHold, RejectsRowsNarrowerThanTheSinkNeeds) {
 
 // ------------------------------------------------------------ chunk replay
 
-TEST(Replay, BlockReplayMatchesRowDelivery) {
+TEST(Replay, BlockReplayMatchesRowReplay) {
   const sim::Trace trace = synthetic_trace(500);
   const fs::path path = temp_path("replay_block.glvt");
   store::SpillSink sink(path.string(), {.chunk_samples = 64});
