@@ -120,8 +120,8 @@ SpillReader::SpillReader(std::string path) : path_(std::move(path)) {
   }
   // Every chunk but the last is full, so the count fixes the chunk count:
   // ceil(sample_count / chunk_capacity) == chunk_count, computed without
-  // overflow (and zero samples means zero chunks). This bounds what a
-  // crafted sample_count can make read_planes() reserve.
+  // overflow (and zero samples means zero chunks). decode_chunk() then
+  // holds each chunk to its share.
   if (sample_count_ / chunk_capacity_ +
           (sample_count_ % chunk_capacity_ != 0 ? 1 : 0) !=
       chunk_count) {
@@ -301,8 +301,7 @@ std::vector<logic::BitStream> SpillReader::read_planes() {
   // file cannot hold is corrupt: caught before it sizes an allocation
   // (a crafted chunk capacity lets a tiny file claim ~2^29 samples per
   // byte of index).
-  if (!species_names_.empty() &&
-      total_words > index_offset_ / sizeof(std::uint64_t)) {
+  if (total_words > index_offset_ / sizeof(std::uint64_t)) {
     throw StorageError("SpillReader: sample count does not fit the file: " +
                        path_);
   }
