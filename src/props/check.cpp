@@ -20,13 +20,39 @@ namespace glva::props {
 
 namespace {
 
-/// Packed evaluation of one replicate: one monitor pass per property,
-/// then per-combination reduction through the CombinationIndex masks —
-/// satisfaction counts via and_popcount, the first violation via the
-/// first nonzero word of mask & ~verdict.
-CheckReplicate evaluate_packed_replicate(
-    const core::PackedDigitalData& data, const std::vector<std::string>& names,
-    const std::vector<PropertyPtr>& properties, std::uint64_t seed) {
+/// One replicate end to end: acquire its planes, then evaluate every
+/// property with the monitor the backend picks (the analyzer's rule: the
+/// packed monitor up to kPackedAutoInputLimit inputs, the bit-identical
+/// reference evaluator beyond it).
+CheckReplicate run_one(const circuits::CircuitSpec& spec,
+                       const core::ExperimentConfig& config,
+                       const std::vector<std::string>& names,
+                       const std::vector<PropertyPtr>& properties) {
+  const core::Acquisition acquired = core::acquire(spec, config);
+  GLVA_SPAN("monitor");
+  if (core::packed_applies(config.backend, spec.input_ids.size())) {
+    return check_planes(acquired.planes, names, properties, config.seed);
+  }
+  return check_planes_reference(core::unpack(acquired.planes), names,
+                                properties, config.seed);
+}
+
+std::string violation_label(std::size_t index, double sampling_period) {
+  if (index == kNoViolation) return "-";
+  return "t=" +
+         util::format_double(static_cast<double>(index) * sampling_period, 6);
+}
+
+}  // namespace
+
+/// Packed evaluation: one monitor pass per property, then per-combination
+/// reduction through the CombinationIndex masks — satisfaction counts via
+/// and_popcount, the first violation via the first nonzero word of
+/// mask & ~verdict.
+CheckReplicate check_planes(const core::PackedDigitalData& data,
+                            const std::vector<std::string>& names,
+                            const std::vector<PropertyPtr>& properties,
+                            std::uint64_t seed) {
   CheckReplicate replicate;
   replicate.seed = seed;
   replicate.sample_count = data.sample_count();
@@ -73,13 +99,10 @@ CheckReplicate evaluate_packed_replicate(
   return replicate;
 }
 
-/// Reference evaluation of one replicate: the per-sample loop over the
-/// naive verdict vector. Bit-identical to the packed path (the masks
-/// partition the samples, so the per-combination counts and the first
-/// violating index agree exactly).
-CheckReplicate evaluate_reference_replicate(
-    const core::DigitalData& data, const std::vector<std::string>& names,
-    const std::vector<PropertyPtr>& properties, std::uint64_t seed) {
+CheckReplicate check_planes_reference(const core::DigitalData& data,
+                                      const std::vector<std::string>& names,
+                                      const std::vector<PropertyPtr>& properties,
+                                      std::uint64_t seed) {
   CheckReplicate replicate;
   replicate.seed = seed;
   const std::size_t n = data.sample_count();
@@ -127,32 +150,6 @@ CheckReplicate evaluate_reference_replicate(
   }
   return replicate;
 }
-
-/// One replicate end to end: acquire its planes, then evaluate every
-/// property with the monitor the backend picks (the analyzer's rule: the
-/// packed monitor up to kPackedAutoInputLimit inputs, the bit-identical
-/// reference evaluator beyond it).
-CheckReplicate run_one(const circuits::CircuitSpec& spec,
-                       const core::ExperimentConfig& config,
-                       const std::vector<std::string>& names,
-                       const std::vector<PropertyPtr>& properties) {
-  const core::Acquisition acquired = core::acquire(spec, config);
-  GLVA_SPAN("monitor");
-  if (core::packed_applies(config.backend, spec.input_ids.size())) {
-    return evaluate_packed_replicate(acquired.planes, names, properties,
-                                     config.seed);
-  }
-  return evaluate_reference_replicate(core::unpack(acquired.planes), names,
-                                      properties, config.seed);
-}
-
-std::string violation_label(std::size_t index, double sampling_period) {
-  if (index == kNoViolation) return "-";
-  return "t=" +
-         util::format_double(static_cast<double>(index) * sampling_period, 6);
-}
-
-}  // namespace
 
 CheckResult run_check(const circuits::CircuitSpec& spec,
                       const core::ExperimentConfig& config,

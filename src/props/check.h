@@ -66,6 +66,23 @@ struct CheckReplicate {
   std::vector<PropertyCheck> properties;  ///< one per requested property
 };
 
+/// One replicate's check on its digitized planes: evaluate every
+/// property, then reduce each verdict per input combination. `names`
+/// names the planes, inputs (MSB first) then the output; `seed` is only
+/// recorded. This is the reduction run_check applies to every acquired
+/// replicate. Throws glva::InvalidArgument on mismatched plane lengths or
+/// a property naming an unknown plane.
+[[nodiscard]] CheckReplicate check_planes(
+    const core::PackedDigitalData& data, const std::vector<std::string>& names,
+    const std::vector<PropertyPtr>& properties, std::uint64_t seed = 0);
+
+/// The reference form of check_planes: the naive evaluator of
+/// reference.h and one loop step per sample over `vector<bool>` planes.
+/// Kept as the test oracle check_planes is pinned bit-identical to.
+[[nodiscard]] CheckReplicate check_planes_reference(
+    const core::DigitalData& data, const std::vector<std::string>& names,
+    const std::vector<PropertyPtr>& properties, std::uint64_t seed = 0);
+
 /// Cross-replicate statistics for one property.
 struct PropertyCheckStats {
   std::string property;  ///< canonical text

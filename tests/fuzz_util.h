@@ -1,19 +1,22 @@
 #pragma once
 
 // Shared fuzz-vs-naive machinery for the packed-analysis test suites
-// (test_bitstream, test_store, test_simd_kernels): seeded generators for
-// bool/word/double streams, the naive bit-counting references the
-// word-parallel kernels are checked against, and the ragged block
-// slicings the streaming tests cut their deliveries into. Header-only so
-// each suite stays a single translation unit.
+// (test_bitstream, test_props, test_store, test_simd_kernels): seeded
+// generators for bool/word/double streams and for digitized planes built
+// from input runs, the naive bit-counting references the word-parallel
+// kernels are checked against, and the ragged block slicings the
+// streaming tests cut their deliveries into. Header-only so each suite
+// stays a single translation unit.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "core/adc.h"
 #include "props/property.h"
 #include "sim/rng.h"
 
@@ -63,6 +66,70 @@ inline std::vector<double> special_doubles(std::size_t n, double threshold,
                           : threshold + rng.normal() * 10.0;
   }
   return values;
+}
+
+/// Digitized planes whose inputs are laid out as runs: a lead-in run of
+/// `offset` samples, then runs of `length` samples until `samples` are
+/// filled (the last run is cut at the final sample). Each run holds one
+/// combination of `inputs` planes, drawn from a pool of three, so a
+/// combination is regularly interrupted and resumed. The output keeps a
+/// random bit per run or toggles inside it, so resumed combinations meet
+/// both an equal and a different output bit across their gaps.
+inline core::DigitalData run_planes(std::size_t inputs, std::size_t samples,
+                                    std::size_t offset, std::size_t length,
+                                    sim::Rng& rng) {
+  const std::size_t combinations = std::size_t{1} << inputs;
+  const std::size_t pool[] = {rng.below(combinations),
+                              rng.below(combinations),
+                              rng.below(combinations)};
+  core::DigitalData data;
+  data.inputs.assign(inputs, std::vector<bool>(samples));
+  data.output.resize(samples);
+  std::size_t start = 0;
+  std::size_t run_length = offset == 0 ? length : offset;
+  while (start < samples) {
+    const std::size_t end = std::min(samples, start + run_length);
+    const std::size_t combination = pool[rng.below(3)];
+    const std::size_t toggle = rng.below(4);  // 0: every sample, 1: random
+    bool bit = rng.below(2) == 1;
+    for (std::size_t k = start; k < end; ++k) {
+      for (std::size_t i = 0; i < inputs; ++i) {
+        data.inputs[i][k] = ((combination >> (inputs - 1 - i)) & 1U) != 0;
+      }
+      if (toggle == 0) bit = !bit;
+      if (toggle == 1) bit = rng.below(2) == 1;
+      data.output[k] = bit;
+    }
+    start = end;
+    run_length = length;
+  }
+  return data;
+}
+
+/// The layouts both run-reduction fuzzes walk, for `inputs` inputs: runs
+/// of 1, 63, 64 and 65 samples after every word offset over 4097 samples,
+/// and the short traces of 1, 63, 64 and 65 samples after the offsets
+/// that straddle a word edge. A final run always ends at the last sample;
+/// at 64 samples, and for 64-sample runs after a zero offset, runs end on
+/// word boundaries.
+template <typename Check>
+void for_each_run_layout(std::size_t inputs, sim::Rng& rng, Check check) {
+  for (const std::size_t length : {1, 63, 64, 65}) {
+    for (std::size_t offset = 0; offset < 64; ++offset) {
+      check(run_planes(inputs, 4097, offset, length, rng),
+            std::string("N ") + std::to_string(inputs) + ", runs of " +
+                std::to_string(length) + " after " + std::to_string(offset));
+    }
+    for (const std::size_t samples : {1, 63, 64, 65}) {
+      for (const std::size_t offset : {0, 1, 62, 63}) {
+        check(run_planes(inputs, samples, offset, length, rng),
+              std::string("N ") + std::to_string(inputs) + ", " +
+                  std::to_string(samples) +
+                  " samples, runs of " + std::to_string(length) + " after " +
+                  std::to_string(offset));
+      }
+    }
+  }
 }
 
 /// A random property AST of at most `depth` operator levels over the

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/adc.h"
 #include "core/case_analyzer.h"
+#include "core/logic_analyzer.h"
 #include "core/variation_analyzer.h"
 #include "fuzz_util.h"
 #include "logic/bit_stream.h"
@@ -31,6 +34,7 @@ using testutil::naive_masked_transitions;
 using testutil::naive_popcount;
 using testutil::naive_transitions;
 using testutil::random_bools;
+using testutil::for_each_run_layout;
 
 // ------------------------------------------------------------ edge cases
 
@@ -341,6 +345,146 @@ TEST(PackedAnalysis, CaseCountsProjectionKeepsCountsDropsStreams) {
     EXPECT_EQ(counts.cases[c].combination, reference.cases[c].combination);
     EXPECT_EQ(counts.cases[c].case_count, reference.cases[c].case_count);
     EXPECT_TRUE(counts.cases[c].output_stream.empty());
+  }
+}
+
+// ------------------------------ the production reduction vs its oracles
+
+/// Case_I, HIGH_O and O_Var through the CombinationIndex masks: popcounts
+/// for the first two; for O_Var, a walk over each mask's selected samples
+/// in sample order, which is the compacted stream the reference logs.
+core::VariationAnalysis mask_oracle(const core::PackedDigitalData& data) {
+  const CombinationIndex index(data.inputs);
+  core::VariationAnalysis analysis;
+  analysis.input_count = index.input_count();
+  analysis.records.resize(index.combination_count());
+  for (std::size_t c = 0; c < analysis.records.size(); ++c) {
+    core::VariationRecord& record = analysis.records[c];
+    record.combination = c;
+    record.case_count = index.count(c);
+    record.high_count = logic::and_popcount(index.mask(c), data.output);
+    const std::span<const std::uint64_t> words = index.mask(c).words();
+    bool seen = false;
+    bool last = false;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        const bool bit =
+            data.output[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        if (seen && bit != last) ++record.variation_count;
+        seen = true;
+        last = bit;
+      }
+    }
+    record.fov_est = record.case_count > 0
+                         ? static_cast<double>(record.variation_count) /
+                               static_cast<double>(record.case_count)
+                         : 0.0;
+  }
+  return analysis;
+}
+
+void expect_records_equal(const core::VariationAnalysis& actual,
+                          const core::VariationAnalysis& expected,
+                          const std::string& context) {
+  ASSERT_EQ(actual.input_count, expected.input_count) << context;
+  ASSERT_EQ(actual.records.size(), expected.records.size()) << context;
+  for (std::size_t c = 0; c < expected.records.size(); ++c) {
+    const core::VariationRecord& a = actual.records[c];
+    const core::VariationRecord& e = expected.records[c];
+    ASSERT_EQ(a.combination, e.combination) << context;
+    ASSERT_EQ(a.case_count, e.case_count) << context << ", c " << c;
+    ASSERT_EQ(a.high_count, e.high_count) << context << ", c " << c;
+    ASSERT_EQ(a.variation_count, e.variation_count) << context << ", c " << c;
+    // Same integers divided in the same order: bit-identical doubles.
+    ASSERT_EQ(a.fov_est, e.fov_est) << context << ", c " << c;
+  }
+}
+
+std::vector<std::string> input_names(std::size_t n) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n; ++i) {
+    names.push_back(std::string("I").append(std::to_string(i)));
+  }
+  return names;
+}
+
+/// analyze_packed against the reference stages (analyze_cases, then
+/// analyze_variation) and the mask oracle. construct_bool_expr reads only
+/// the records, so equal records give an equal construction.
+void expect_analysis_matches(const core::DigitalData& data,
+                             const std::string& context) {
+  const std::vector<std::string> names = input_names(data.input_count());
+  const core::PackedDigitalData packed = core::pack(data);
+  const core::ExtractionResult result =
+      core::LogicAnalyzer().analyze_packed(packed, names, "Y");
+  const core::VariationAnalysis reference =
+      core::analyze_variation(core::analyze_cases(data));
+
+  expect_records_equal(result.variation, reference, context + " vs reference");
+  expect_records_equal(result.variation, mask_oracle(packed),
+                       context + " vs masks");
+  ASSERT_EQ(result.cases.cases.size(), reference.records.size()) << context;
+  for (std::size_t c = 0; c < reference.records.size(); ++c) {
+    ASSERT_EQ(result.cases.cases[c].case_count,
+              reference.records[c].case_count)
+        << context;
+  }
+}
+
+TEST(RunReduction, FuzzAnalysisMatchesReferenceAndMasks) {
+  sim::Rng rng(0x7255);
+  for (std::size_t inputs = 1; inputs <= 8; ++inputs) {
+    for_each_run_layout(inputs, rng,
+                        [&](const core::DigitalData& data,
+                            const std::string& context) {
+                          if (!HasFatalFailure()) {
+                            expect_analysis_matches(data, context);
+                          }
+                        });
+  }
+}
+
+/// A combination interrupted and resumed: its last sample before the gap
+/// is compared with its first sample after it, exactly as in the
+/// compacted stream the reference logs (docs/ANALYSIS.md).
+TEST(RunReduction, GapAtWordBoundaryMatchesCompactedReference) {
+  // Samples 0..191; combination 1 holds words 0 and 2, combination 0 the
+  // word between. The output is 1 on word 0 and 0 after it, so
+  // combination 1's compacted stream is 64 ones then 64 zeros: exactly one
+  // variation, across the gap.
+  core::DigitalData example;
+  example.inputs.assign(1, std::vector<bool>(192, true));
+  example.output.assign(192, false);
+  for (std::size_t k = 64; k < 128; ++k) example.inputs[0][k] = false;
+  for (std::size_t k = 0; k < 64; ++k) example.output[k] = true;
+  const core::ExtractionResult result =
+      core::LogicAnalyzer().analyze_packed(core::pack(example), {"A"}, "Y");
+  EXPECT_EQ(result.variation.records[1].variation_count, 1u);
+  EXPECT_EQ(result.variation.records[0].variation_count, 0u);
+  expect_analysis_matches(example, "worked example");
+
+  // Every gap placement around the first word boundary, against random,
+  // toggling and constant outputs.
+  const std::size_t n = 256;
+  sim::Rng rng(0x6A9);
+  for (const std::size_t gap_start : {1, 62, 63, 64, 65, 126}) {
+    for (const std::size_t gap_length : {1, 2, 64, 65, 130}) {
+      core::DigitalData data;
+      data.inputs.assign(1, std::vector<bool>(n, true));
+      for (std::size_t k = gap_start; k < std::min(n, gap_start + gap_length);
+           ++k) {
+        data.inputs[0][k] = false;
+      }
+      std::vector<bool> toggled(n);
+      for (std::size_t k = 0; k < n; ++k) toggled[k] = k % 2 == 0;
+      for (const std::vector<bool>& output :
+           {random_bools(n, rng), toggled, std::vector<bool>(n, true)}) {
+        data.output = output;
+        expect_analysis_matches(data, std::string("gap at ") +
+                                          std::to_string(gap_start) + "+" +
+                                          std::to_string(gap_length));
+      }
+    }
   }
 }
 

@@ -447,6 +447,72 @@ TEST(MaskedTransitions, GapAtWordBoundaryMatchesCompactedReference) {
   }
 }
 
+// ------------------------------------ check's reduction vs the reference
+
+std::vector<std::string> plane_names(std::size_t inputs) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    names.push_back(std::string("I").append(std::to_string(i)));
+  }
+  names.push_back("Y");
+  return names;
+}
+
+/// check_planes against the reference evaluator and its per-sample
+/// reduction: per-combination sample and satisfaction counts and first
+/// violations, and the per-property totals.
+void expect_check_matches_reference(const core::DigitalData& data,
+                                    const std::vector<PropertyPtr>& properties,
+                                    const std::string& context) {
+  const std::vector<std::string> names = plane_names(data.input_count());
+  const props::CheckReplicate actual =
+      props::check_planes(core::pack(data), names, properties, 5);
+  const props::CheckReplicate expected =
+      props::check_planes_reference(data, names, properties, 5);
+  ASSERT_EQ(actual.seed, expected.seed) << context;
+  ASSERT_EQ(actual.sample_count, expected.sample_count) << context;
+  ASSERT_EQ(actual.properties.size(), expected.properties.size()) << context;
+  for (std::size_t p = 0; p < expected.properties.size(); ++p) {
+    const props::PropertyCheck& a = actual.properties[p];
+    const props::PropertyCheck& e = expected.properties[p];
+    const std::string where = context + ", " + e.property;
+    ASSERT_EQ(a.property, e.property) << where;
+    ASSERT_EQ(a.samples, e.samples) << where;
+    ASSERT_EQ(a.satisfied, e.satisfied) << where;
+    ASSERT_EQ(a.first_violation, e.first_violation) << where;
+    ASSERT_EQ(a.combinations.size(), e.combinations.size()) << where;
+    for (std::size_t c = 0; c < e.combinations.size(); ++c) {
+      ASSERT_EQ(a.combinations[c].combination, c) << where;
+      ASSERT_EQ(a.combinations[c].samples, e.combinations[c].samples)
+          << where << ", c " << c;
+      ASSERT_EQ(a.combinations[c].satisfied, e.combinations[c].satisfied)
+          << where << ", c " << c;
+      ASSERT_EQ(a.combinations[c].first_violation,
+                e.combinations[c].first_violation)
+          << where << ", c " << c;
+    }
+  }
+}
+
+/// The run layouts of the analysis fuzz in test_bitstream, under a
+/// verdict that is the output itself, one that is never violated, and a
+/// random property of the planes.
+TEST(CheckReduction, FuzzMatchesReferenceEvaluator) {
+  sim::Rng rng(0xC4EC);
+  for (std::size_t inputs = 1; inputs <= 8; ++inputs) {
+    const std::vector<std::string> names = plane_names(inputs);
+    testutil::for_each_run_layout(
+        inputs, rng,
+        [&](const core::DigitalData& data, const std::string& context) {
+          if (HasFatalFailure()) return;
+          const std::vector<PropertyPtr> properties = {
+              props::parse_property("Y"), props::parse_property("Y | !Y"),
+              random_property(2, names, rng)};
+          expect_check_matches_reference(data, properties, context);
+        });
+  }
+}
+
 // ------------------------------------------------------- the check runner
 
 core::ExperimentConfig small_config() {
