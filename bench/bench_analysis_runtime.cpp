@@ -4,13 +4,19 @@
 //
 // Measures the analysis stage alone (ADC -> CaseAnalyzer ->
 // VariationAnalyzer -> ConstBoolExpr) on traces from 10^4 to 10^7 samples
-// of a 3-input circuit, once per backend: the bit-packed production path
-// (logic::BitStream + CombinationIndex, word-parallel masks + popcounts)
-// and the vector<bool> reference it is cross-checked against. Shape
-// targets: both are linear in sample count, the packed path is >= 4x the
-// reference's throughput at 10^6 samples (the PR's acceptance bar), and a
-// multi-million-sample trace lands in the seconds range of the paper's
-// anecdote (absolute numbers depend on hardware).
+// of a 3-input circuit, two ways: `analyze`, the production path (packed
+// planes reduced along the input runs), and `analyze_digital` on
+// core::digitize's vector<bool> streams, the reference stages it is held
+// to. Shape targets: both are linear in sample count, the production path
+// is well ahead of the reference at 10^6 samples, and a multi-million-
+// sample trace lands in the seconds range of the paper's anecdote
+// (absolute numbers depend on hardware).
+//
+// BM_analysis_packed_flipping_inputs is the run reduction's worst case:
+// random input planes whose bits flip about every 2 samples, so the input
+// combination changes almost every sample. No clamped sweep looks like
+// that (it holds each combination for a whole phase); the row shows what
+// the design gives up on such data.
 
 #include <benchmark/benchmark.h>
 
@@ -52,12 +58,10 @@ sim::Trace make_trace(std::size_t samples, std::uint64_t seed) {
   return trace;
 }
 
-void run_analysis(benchmark::State& state, core::AnalysisBackend backend) {
+void BM_analysis_packed(benchmark::State& state) {
   const auto samples = static_cast<std::size_t>(state.range(0));
   const sim::Trace trace = make_trace(samples, 42);
-  const core::LogicAnalyzer analyzer(
-      core::AnalyzerConfig{15.0, 0.25, backend});
-
+  const core::LogicAnalyzer analyzer;
   for (auto _ : state) {
     auto result = analyzer.analyze(trace, {"A", "B", "C"}, "GFP");
     benchmark::DoNotOptimize(result.construction.fitness_percent);
@@ -67,12 +71,40 @@ void run_analysis(benchmark::State& state, core::AnalysisBackend backend) {
   state.counters["samples"] = static_cast<double>(samples);
 }
 
-void BM_analysis_packed(benchmark::State& state) {
-  run_analysis(state, core::AnalysisBackend::kPacked);
+void BM_analysis_reference(benchmark::State& state) {
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  const sim::Trace trace = make_trace(samples, 42);
+  const core::LogicAnalyzer analyzer;
+  for (auto _ : state) {
+    auto result = analyzer.analyze_digital(
+        core::digitize(trace, {"A", "B", "C"}, "GFP", 15.0), {"A", "B", "C"},
+        "GFP");
+    benchmark::DoNotOptimize(result.construction.fitness_percent);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(samples) *
+                          static_cast<std::int64_t>(state.iterations()));
+  state.counters["samples"] = static_cast<double>(samples);
 }
 
-void BM_analysis_reference(benchmark::State& state) {
-  run_analysis(state, core::AnalysisBackend::kReference);
+void BM_analysis_packed_flipping_inputs(benchmark::State& state) {
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(43);
+  const auto random_plane = [&] {
+    std::vector<std::uint64_t> words((samples + 63) / 64);
+    for (std::uint64_t& word : words) word = rng.next_u64();
+    return logic::BitStream::from_words(samples, std::move(words));
+  };
+  core::PackedDigitalData data;
+  for (int i = 0; i < 3; ++i) data.inputs.push_back(random_plane());
+  data.output = random_plane();
+  const core::LogicAnalyzer analyzer;
+  for (auto _ : state) {
+    auto result = analyzer.analyze_packed(data, {"A", "B", "C"}, "GFP");
+    benchmark::DoNotOptimize(result.construction.fitness_percent);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(samples) *
+                          static_cast<std::int64_t>(state.iterations()));
+  state.counters["samples"] = static_cast<double>(samples);
 }
 
 void BM_adc_only(benchmark::State& state) {
@@ -104,6 +136,9 @@ BENCHMARK(BM_analysis_packed)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_analysis_reference)
     ->Arg(10'000)->Arg(100'000)->Arg(1'000'000)->Arg(10'000'000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_analysis_packed_flipping_inputs)
+    ->Arg(10'000)->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_adc_only)->Arg(1'000'000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_adc_only_packed)->Arg(1'000'000)->Unit(benchmark::kMillisecond);

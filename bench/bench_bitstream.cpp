@@ -1,7 +1,7 @@
 // Micro-benchmarks for the bit-packed stream primitives the analysis stage
 // is built on (logic::BitStream / logic::CombinationIndex): packing,
-// popcount, bitwise combination, masked transition counting, and the
-// packed vs reference ADC. These isolate the word-parallel kernels whose
+// popcount, bitwise combination, the combination masks, and the packed vs
+// reference ADC. These isolate the word-parallel kernels whose
 // composition produces the end-to-end speedup bench_analysis_runtime
 // measures; each counter reports items/s in *samples*, so packed and
 // reference rows are directly comparable.
@@ -108,17 +108,6 @@ void BM_bitwise_and(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_masked_transition_count(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  const BitStream mask = make_stream(bits, 7);
-  const BitStream stream = make_stream(bits, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(logic::masked_transition_count(mask, stream));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(bits) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-
 void BM_combination_index(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
   const std::vector<BitStream> inputs = {
@@ -203,19 +192,6 @@ void register_kernel_benchmarks() {
                                   static_cast<std::int64_t>(state.iterations()));
         })
         ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        ("BM_kernel_masked_pair_transitions/" + level).c_str(),
-        [set](benchmark::State& state) {
-          const BitStream mask = make_stream(kKernelBits, 17);
-          const BitStream stream = make_stream(kKernelBits, 18);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(set->masked_pair_transitions(
-                mask.words().data(), stream.words().data(), kKernelWords));
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
-                                  static_cast<std::int64_t>(state.iterations()));
-        })
-        ->Unit(benchmark::kMicrosecond);
   }
 }
 
@@ -260,9 +236,6 @@ int run_no_timings() {
   std::printf("transition_count_words: %zu\n",
               scalar->transition_count_words(a.words().data(), kKernelWords,
                                              ~std::uint64_t{0}));
-  std::printf("masked_pair_transitions: %zu\n",
-              scalar->masked_pair_transitions(a.words().data(),
-                                              b.words().data(), kKernelWords));
 
   int rc = 0;
   for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kSSE2}) {
@@ -287,11 +260,7 @@ int run_no_timings() {
         set->transition_count_words(a.words().data(), kKernelWords,
                                     ~std::uint64_t{0}) ==
             scalar->transition_count_words(a.words().data(), kKernelWords,
-                                           ~std::uint64_t{0}) &&
-        set->masked_pair_transitions(a.words().data(), b.words().data(),
-                                     kKernelWords) ==
-            scalar->masked_pair_transitions(a.words().data(), b.words().data(),
-                                            kKernelWords);
+                                           ~std::uint64_t{0});
     std::printf("%s: %s\n", name, ok ? "ok" : "MISMATCH");
     if (!ok) rc = 1;
   }
@@ -305,7 +274,6 @@ BENCHMARK(BM_popcount)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_popcount_vector_bool)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_and_popcount)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_bitwise_and)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_masked_transition_count)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_combination_index)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {

@@ -157,8 +157,7 @@ SinkRun run_with_sink(const circuits::CircuitSpec& spec,
 
   run.samples = data.sample_count();
   const auto analyze_start = std::chrono::steady_clock::now();
-  const core::LogicAnalyzer analyzer(core::AnalyzerConfig{
-      threshold, fov_ud, core::AnalysisBackend::kPacked});
+  const core::LogicAnalyzer analyzer(core::AnalyzerConfig{threshold, fov_ud});
   run.extraction =
       analyzer.analyze_packed(data, spec.input_ids, spec.output_id);
   run.analyze_seconds += seconds_since(analyze_start);

@@ -82,10 +82,9 @@ int main(int argc, char** argv) {
   }
 
   const core::DigitalData data = make_figure3_data(stable, oscillatory);
-  // The reference backend materializes the per-case output streams this
-  // figure renders run-length encoded; the packed backend would not.
-  const core::LogicAnalyzer analyzer(core::AnalyzerConfig{
-      15.0, fov_ud, core::AnalysisBackend::kReference});
+  // analyze_digital runs the reference stages, which log the per-case
+  // output streams this figure renders run-length encoded.
+  const core::LogicAnalyzer analyzer(core::AnalyzerConfig{15.0, fov_ud});
   const core::ExtractionResult result =
       analyzer.analyze_digital(data, {"A", "B"}, "OUT");
 

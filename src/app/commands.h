@@ -27,12 +27,11 @@
 ///
 /// Shared analysis options: --threshold, --fov-ud, --total-time,
 /// --sampling-period, --seed, --method (direct|next-reaction|tau-leap),
-/// --backend (packed|reference), --sink (mem|spill|digitize),
-/// --spill-dir <dir>, --csv <path>, --no-timings. Every analysis op
-/// digitizes inside the sampler; --sink only names what --spill-dir
-/// archives per replicate (mem: nothing, spill: the analog rows,
-/// digitize: the bit-planes — see docs/STORAGE.md). Results are
-/// bit-identical for every sink and backend.
+/// --sink (mem|spill|digitize), --spill-dir <dir>, --csv <path>,
+/// --no-timings. Every analysis op digitizes inside the sampler; --sink
+/// only names what --spill-dir archives per replicate (mem: nothing,
+/// spill: the analog rows, digitize: the bit-planes — see
+/// docs/STORAGE.md). Results are bit-identical for every sink.
 ///
 /// The analysis subcommands (analyze/verify/ensemble/sweep) parse into an
 /// app::Request and run through app::execute — the same path the daemon

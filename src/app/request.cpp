@@ -27,8 +27,6 @@ void add_analysis_options(util::CliParser& cli) {
                  "sampling-period)");
   cli.add_option("seed", "1", "simulation seed");
   cli.add_option("method", "direct", "SSA: direct | next-reaction | tau-leap");
-  cli.add_option("backend", "packed",
-                 "analysis streams: packed | reference (bit-identical)");
   cli.add_option("sink", "mem",
                  "what --spill-dir archives per replicate: mem (nothing) | "
                  "spill (analog rows) | digitize (bit-planes); results are "
@@ -49,7 +47,6 @@ core::ExperimentConfig config_from(const util::CliParser& cli) {
   config.sampling_period = cli.get_double("sampling-period");
   config.seed = cli.get_uint("seed");
   config.method = sim::parse_ssa_method(cli.get("method"));
-  config.backend = core::parse_analysis_backend(cli.get("backend"));
   config.sink = store::parse_sink_kind(cli.get("sink"));
   config.spill_dir = cli.get("spill-dir");
   return config;
@@ -333,7 +330,7 @@ Request request_from_cli(Request::Op op, std::string target,
     }
     request.replicates = static_cast<std::size_t>(replicates);
     request.min_satisfaction = cli.get_double("min-satisfaction");
-    if (request.min_satisfaction < 0.0 || request.min_satisfaction > 1.0) {
+    if (!(request.min_satisfaction >= 0.0 && request.min_satisfaction <= 1.0)) {
       throw InvalidArgument("check: --min-satisfaction must be in [0, 1]");
     }
   }
@@ -346,6 +343,7 @@ Request request_from_cli(Request::Op op, std::string target,
         throw InvalidArgument("sweep: bad threshold value '" +
                               std::string(trimmed) + "'");
       }
+      require_finite_positive(*value, "sweep: --thresholds");
       request.thresholds.push_back(*value);
     }
     if (request.thresholds.empty()) {

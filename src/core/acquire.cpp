@@ -114,6 +114,9 @@ void validate(const ExperimentConfig& config) {
   require_finite_positive(config.sampling_period,
                           "experiment: sampling_period");
   require_finite_positive(config.threshold, "experiment: threshold");
+  if (!(config.fov_ud > 0.0 && config.fov_ud <= 1.0)) {
+    throw InvalidArgument("experiment: fov_ud must be in (0, 1]");
+  }
   if (config.sink == store::SinkKind::kSpill && config.spill_dir.empty()) {
     throw InvalidArgument(
         "experiment: sink 'spill' archives into a spill directory "

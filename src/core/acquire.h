@@ -29,8 +29,9 @@ struct Acquisition {
 
 /// Reject a config no acquisition can run, before anything simulates:
 /// total_time, sampling_period or threshold not finite and > 0 (a NaN
-/// duration or period never ends the sampler's loop), or sink kSpill
-/// without a spill_dir. Throws glva::InvalidArgument naming the field.
+/// duration or period never ends the sampler's loop), fov_ud NaN or
+/// outside (0, 1], or sink kSpill without a spill_dir. Throws
+/// glva::InvalidArgument naming the field.
 /// acquire() calls it; request parsing calls it too, so a daemon refuses
 /// such a request before its cache lookup.
 void validate(const ExperimentConfig& config);

@@ -12,7 +12,7 @@ namespace glva::core {
 namespace {
 
 void require_positive_threshold(double threshold, const char* what) {
-  if (threshold <= 0.0) {
+  if (!(threshold > 0.0)) {  // NaN fails too
     throw InvalidArgument(std::string(what) + ": threshold must be positive");
   }
 }

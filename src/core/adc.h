@@ -14,11 +14,10 @@
 ///
 /// Two representations of the digitized streams exist side by side:
 /// `DigitalData` (one `std::vector<bool>` per stream — the reference
-/// implementation) and `PackedDigitalData` (one `logic::BitStream` per
-/// stream — 64 samples per word, the production path of the analysis
-/// stage). Both digitize identically bit for bit; see `docs/ANALYSIS.md`
-/// for the packed layout and `AnalysisBackend` in `logic_analyzer.h` for
-/// how a backend is selected.
+/// implementation the tests hold production to) and `PackedDigitalData`
+/// (one `logic::BitStream` per stream — 64 samples per word, the
+/// production path of the analysis stage). Both digitize identically bit
+/// for bit; see `docs/ANALYSIS.md` for the packed layout.
 namespace glva::store {
 class SpillReader;  // store/spill_reader.h (load_digitized's source)
 }  // namespace glva::store
@@ -54,8 +53,8 @@ struct DigitalData {
 
 /// Bit-packed variant of `DigitalData`: same streams, same MSB-first input
 /// order, one `logic::BitStream` per stream (64 samples per word, zeroed
-/// tail). Produced by `digitize_packed`/`pack`, consumed by the packed
-/// CaseAnalyzer (`analyze_cases_packed`).
+/// tail). Produced by `digitize_packed`/`pack`, consumed by the run
+/// reduction (`analyze_runs`) and the property check.
 struct PackedDigitalData {
   std::vector<logic::BitStream> inputs;  ///< [input], MSB first
   logic::BitStream output;
@@ -85,8 +84,7 @@ struct PackedDigitalData {
     const std::string& output_id, double threshold);
 
 /// Lossless conversions between the two representations (used by the
-/// analyzer's packed backend when handed pre-digitized reference data, and
-/// by the equivalence tests). O(input_count · samples).
+/// equivalence tests and the figure benches). O(input_count · samples).
 [[nodiscard]] PackedDigitalData pack(const DigitalData& data);
 [[nodiscard]] DigitalData unpack(const PackedDigitalData& data);
 

@@ -8,7 +8,7 @@ namespace glva::core {
 BoolConstruction construct_bool_expr(const VariationAnalysis& variation,
                                      double fov_ud,
                                      std::vector<std::string> input_names) {
-  if (fov_ud <= 0.0 || fov_ud > 1.0) {
+  if (!(fov_ud > 0.0 && fov_ud <= 1.0)) {  // NaN fails too
     throw InvalidArgument("construct_bool_expr: FOV_UD must be in (0, 1]");
   }
   const std::size_t n = variation.input_count;

@@ -39,40 +39,4 @@ CaseAnalysis analyze_cases(const DigitalData& data) {
   return analysis;
 }
 
-PackedCaseAnalysis analyze_cases_packed(const PackedDigitalData& data) {
-  const std::size_t n = data.input_count();
-  if (n == 0) {
-    throw InvalidArgument("analyze_cases_packed: no input streams");
-  }
-  const std::size_t samples = data.sample_count();
-  for (const auto& input : data.inputs) {
-    if (input.size() != samples) {
-      throw InvalidArgument(
-          "analyze_cases_packed: input/output stream lengths differ");
-    }
-  }
-
-  PackedCaseAnalysis analysis;
-  analysis.input_count = n;
-  // CombinationIndex re-validates and throws for n > kMaxInputs.
-  analysis.index = logic::CombinationIndex(data.inputs);
-  analysis.output = data.output;
-  return analysis;
-}
-
-CaseAnalysis case_counts(const PackedCaseAnalysis& analysis) {
-  return case_counts(analysis.index);
-}
-
-CaseAnalysis case_counts(const logic::CombinationIndex& index) {
-  CaseAnalysis counts;
-  counts.input_count = index.input_count();
-  counts.cases.resize(index.combination_count());
-  for (std::size_t c = 0; c < counts.cases.size(); ++c) {
-    counts.cases[c].combination = c;
-    counts.cases[c].case_count = index.count(c);
-  }
-  return counts;
-}
-
 }  // namespace glva::core

@@ -4,19 +4,16 @@
 #include <vector>
 
 #include "core/adc.h"
-#include "logic/combination_index.h"
 
 /// The CaseAnalyzer sub-procedure of Algorithm 1 (line 5): "analyzes the
 /// number of times each input combination occurs and logs their
 /// corresponding output binary data streams".
 ///
-/// Two implementations share this header: `analyze_cases` (reference —
-/// per-sample branching, materialized per-combination `vector<bool>`
-/// streams) and `analyze_cases_packed` (production — word-parallel
-/// `logic::CombinationIndex` masks over bit-packed streams, no
-/// materialized per-combination streams). Their Case_I counts are
-/// identical by construction; the equivalence is pinned in
-/// `tests/test_core.cpp` and `tests/test_bitstream.cpp`.
+/// `analyze_cases` is the reference implementation: one branch per
+/// sample, with the per-combination `vector<bool>` streams materialized.
+/// Production counts Case_I along the input runs instead
+/// (`core::analyze_runs` in variation_analyzer.h); the two are pinned
+/// equal by the differential fuzz in `tests/test_bitstream.cpp`.
 namespace glva::core {
 
 /// Per-input-combination observation record.
@@ -25,8 +22,8 @@ struct CaseRecord {
   std::size_t case_count = 0;   ///< Case_I[i]: samples with this combination
   /// The output data stream logged while this combination was applied, in
   /// sample order (its length always equals case_count). Only the
-  /// reference `analyze_cases` materializes it; the packed path keeps the
-  /// stream implicit in (mask, output) pairs and leaves this empty.
+  /// reference `analyze_cases` materializes it; the run reduction leaves
+  /// it empty.
   std::vector<bool> output_stream;
 };
 
@@ -45,42 +42,5 @@ struct CaseAnalysis {
 /// are no inputs, or there are more than 16 of them. O(input_count ·
 /// samples) time, O(samples) additional bytes for the logged streams.
 [[nodiscard]] CaseAnalysis analyze_cases(const DigitalData& data);
-
-/// Packed case analysis: the combination index (per-combination selection
-/// masks + Case_I popcounts) plus the packed output stream the masks
-/// select from. Together they carry exactly the information of
-/// `CaseAnalysis` — combination c's logged output stream is `output`
-/// compacted by `index.mask(c)` — in 2^N + 1 packed streams.
-struct PackedCaseAnalysis {
-  std::size_t input_count = 0;
-  logic::CombinationIndex index;  ///< sample-selection masks, Case_I counts
-  logic::BitStream output;        ///< the digitized output stream
-
-  [[nodiscard]] std::size_t sample_count() const noexcept {
-    return output.size();
-  }
-};
-
-/// Classify every sample via word-parallel masks — the packed twin of
-/// `analyze_cases`. Same validation (throws glva::InvalidArgument for no
-/// inputs, more than logic::CombinationIndex::kMaxInputs inputs, or
-/// mismatched stream lengths); postcondition: index.count(c) equals the
-/// reference case_count for every combination. O(2^N · N · samples / 64)
-/// time — for the paper's N <= 3 circuits, ~64× fewer operations than the
-/// reference.
-[[nodiscard]] PackedCaseAnalysis analyze_cases_packed(
-    const PackedDigitalData& data);
-
-/// Project a packed analysis onto the reference record layout: combination
-/// ids and Case_I counts, with `output_stream` left empty (the packed path
-/// never materializes per-combination streams). Used to fill
-/// `ExtractionResult::cases` under the packed backend. O(2^N).
-[[nodiscard]] CaseAnalysis case_counts(const PackedCaseAnalysis& analysis);
-
-/// Same projection from a bare combination index — the shared-index path
-/// of `LogicAnalyzer::analyze_packed_shared`, where the index is borrowed
-/// (e.g. reused across the threshold points of a re-digitizing sweep)
-/// instead of owned by a PackedCaseAnalysis. O(2^N).
-[[nodiscard]] CaseAnalysis case_counts(const logic::CombinationIndex& index);
 
 }  // namespace glva::core

@@ -22,8 +22,7 @@ ExperimentResult analyzed(const circuits::CircuitSpec& spec,
   result.circuit_name = spec.name;
   result.config = config;
 
-  const LogicAnalyzer analyzer(
-      AnalyzerConfig{config.threshold, config.fov_ud, config.backend});
+  const LogicAnalyzer analyzer(AnalyzerConfig{config.threshold, config.fov_ud});
   const auto analyze_start = std::chrono::steady_clock::now();
   {
     GLVA_SPAN("analyze");
@@ -42,12 +41,8 @@ ExperimentResult run_experiment(const circuits::CircuitSpec& spec,
   Acquisition acquired = acquire(spec, config);
   ExperimentResult result =
       analyzed(spec, config, [&](const LogicAnalyzer& analyzer) {
-        if (packed_applies(config.backend, spec.input_ids.size())) {
-          return analyzer.analyze_packed(acquired.planes, spec.input_ids,
-                                         spec.output_id);
-        }
-        return analyzer.analyze_digital(unpack(acquired.planes),
-                                        spec.input_ids, spec.output_id);
+        return analyzer.analyze_packed(acquired.planes, spec.input_ids,
+                                       spec.output_id);
       });
   result.schedule = std::move(acquired.schedule);
   result.simulate_seconds = acquired.simulate_seconds;

@@ -31,10 +31,6 @@ struct ExperimentConfig {
   double sampling_period = 1.0;  ///< trace grid, time units per sample
   std::uint64_t seed = 1;        ///< RNG seed; equal seeds reproduce runs
   sim::SsaMethod method = sim::SsaMethod::kDirect;
-  /// Representation the analyzer and the property monitors run on after
-  /// acquisition (bit-packed vs reference vector<bool>); results are
-  /// bit-identical either way — see AnalysisBackend.
-  AnalysisBackend backend = AnalysisBackend::kPacked;
 
   /// What an acquisition archives under `spill_dir` (see store::SinkKind
   /// and docs/STORAGE.md): kMemory nothing, kSpill the analog rows (a
@@ -69,12 +65,9 @@ struct ExperimentResult {
 
 /// Run the full pipeline on a circuit: core::acquire the digitized planes
 /// of one sweep over all 2^N input combinations (total_time split evenly
-/// across phases), extract the logic, and verify it against
-/// spec.expected. The packed analyzer runs up to kPackedAutoInputLimit
-/// inputs; beyond that, or under AnalysisBackend::kReference, the
-/// reference stages run on core::unpack(planes) — bit-identical either
-/// way. Throws what core::acquire throws, plus glva::InvalidArgument for
-/// invalid analyzer parameters.
+/// across phases), extract the logic with LogicAnalyzer::analyze_packed,
+/// and verify it against spec.expected. Throws what core::acquire throws,
+/// plus glva::InvalidArgument for invalid analyzer parameters.
 [[nodiscard]] ExperimentResult run_experiment(const circuits::CircuitSpec& spec,
                                               const ExperimentConfig& config);
 

@@ -12,47 +12,9 @@
 /// Algorithm 1 — the paper's logic analysis and verification procedure.
 /// Wires the sub-procedures in order: ADC → CaseAnalyzer →
 /// VariationAnalyzer → ConstBoolExpr, over user-selected input and output
-/// species.
+/// species. Production runs the middle two as one pass along the input
+/// runs; the `vector<bool>` stages stay as the test oracle.
 namespace glva::core {
-
-/// Which digitized-stream representation the analysis stage runs on. Both
-/// backends produce bit-identical ExtractionResults (variation records,
-/// filter outcomes, expression, PFoBE, verification — pinned by the
-/// equivalence tests); they differ in speed and in whether
-/// `ExtractionResult::cases` materializes per-combination output streams.
-enum class AnalysisBackend {
-  /// Word-parallel bit-packed streams (logic::BitStream +
-  /// logic::CombinationIndex): the production path, O(2^N · samples / 64)
-  /// per stage. `cases` carries counts only (empty output_streams).
-  kPacked,
-  /// One-sample-at-a-time `std::vector<bool>` streams: the reference
-  /// implementation the packed path is cross-checked against; also the
-  /// only backend that materializes per-combination output streams (the
-  /// Figure 2/3 run-length displays need them).
-  kReference,
-};
-
-/// Backend name ("packed" / "reference") and its inverse; parse throws
-/// glva::InvalidArgument for unknown names.
-[[nodiscard]] const char* analysis_backend_name(AnalysisBackend backend);
-[[nodiscard]] AnalysisBackend parse_analysis_backend(const std::string& name);
-
-/// Largest input count the packed backend is auto-selected for. Packed
-/// work and mask memory grow as 2^N (2^N masks, O(2^N · N · samples / 64)
-/// ops) while the reference path grows as N · samples, so past ~6 inputs
-/// the reference is the better default; requests beyond this limit
-/// silently use the (bit-identical) reference path. Explicit
-/// analyze_packed callers may go up to logic::CombinationIndex::kMaxInputs.
-inline constexpr std::size_t kPackedAutoInputLimit = 6;
-
-/// Whether `backend` runs the packed stages on `input_count` inputs:
-/// kPacked up to kPackedAutoInputLimit. Beyond it, or under kReference,
-/// the (bit-identical) reference stages run instead.
-[[nodiscard]] constexpr bool packed_applies(AnalysisBackend backend,
-                                            std::size_t input_count) noexcept {
-  return backend == AnalysisBackend::kPacked &&
-         input_count <= kPackedAutoInputLimit;
-}
 
 /// The algorithm's initial parameters (the paper's N, ThVAL, FOV_UD, IS,
 /// OS; N is implied by IS, and SDAn is the trace argument).
@@ -64,10 +26,6 @@ struct AnalyzerConfig {
   /// (0, 1]: Filter 1 accepts a combination iff FOV_EST < fov_ud. The
   /// paper allows up to 25% variation (0.25).
   double fov_ud = 0.25;
-  /// Stream representation the stages run on. Defaults to the packed path;
-  /// inputs beyond kPackedAutoInputLimit silently fall back to the
-  /// (bit-identical) reference path, which handles up to 16.
-  AnalysisBackend backend = AnalysisBackend::kPacked;
 };
 
 /// Everything the analysis produces, per combination and aggregated.
@@ -77,7 +35,9 @@ struct ExtractionResult {
   std::string output_name;
   AnalyzerConfig config;
 
-  CaseAnalysis cases;             ///< Case_I + logged output streams
+  /// Case_I per combination; the logged output streams only from
+  /// analyze_digital.
+  CaseAnalysis cases;
   VariationAnalysis variation;    ///< HIGH_O / O_Var / FOV_EST
   BoolConstruction construction;  ///< filters, expression, PFoBE
 
@@ -99,12 +59,13 @@ struct ExtractionResult {
 class LogicAnalyzer {
 public:
   /// Throws glva::InvalidArgument unless config.threshold > 0 and
-  /// config.fov_ud is in (0, 1].
+  /// config.fov_ud is in (0, 1]; NaN fails both.
   explicit LogicAnalyzer(AnalyzerConfig config = {});
 
   /// Analyze a simulation trace, choosing `input_ids` (MSB first) as IS and
   /// `output_id` as OS. Selecting an internal species as OS analyzes an
   /// intermediate circuit component, exactly as the paper describes.
+  /// Digitizes into packed planes, then runs analyze_packed.
   ///
   /// Throws glva::InvalidArgument for species ids not present in the trace,
   /// an empty `input_ids`, or more than 16 inputs.
@@ -112,39 +73,25 @@ public:
                                          const std::vector<std::string>& input_ids,
                                          const std::string& output_id) const;
 
-  /// Analyze pre-digitized streams (used by unit tests and the Figure 3
-  /// reproduction, which starts from constructed binary streams). Under
-  /// the packed backend the streams are packed first, so both entry points
-  /// agree with `analyze` bit for bit.
+  /// The production stages on packed planes: Case_I, HIGH_O and O_Var in
+  /// one pass along the input runs (core::analyze_runs), then
+  /// ConstBoolExpr. `cases` carries the counts with empty output streams.
   ///
-  /// Requires one name per input stream; throws glva::InvalidArgument when
-  /// streams have mismatched lengths, there are no inputs, or there are
+  /// Requires one name per input plane; throws glva::InvalidArgument when
+  /// the planes have mismatched lengths, there are no inputs, or there are
   /// more than 16 of them.
-  [[nodiscard]] ExtractionResult analyze_digital(
-      const DigitalData& data, std::vector<std::string> input_names,
-      std::string output_name) const;
-
-  /// Analyze pre-packed streams directly (no conversion; the fast path the
-  /// packed `analyze` uses internally, exposed for benches and tests).
-  /// Same validation as analyze_digital; note the backend switch does not
-  /// apply here — this entry point is always packed.
   [[nodiscard]] ExtractionResult analyze_packed(
       const PackedDigitalData& data, std::vector<std::string> input_names,
       std::string output_name) const;
 
-  /// Packed analysis over a caller-provided combination index — the
-  /// index-reuse path of `threshold_sweep_redigitize`: when several
-  /// threshold points digitize the (clamped) input streams identically,
-  /// they share one index and only the output stream is re-digitized per
-  /// point. `index` must have been built from this analysis's digitized
-  /// inputs; results are then bit-identical to `analyze_packed` on the
-  /// matching PackedDigitalData. Always packed (no backend switch).
-  ///
-  /// Throws glva::InvalidArgument when input_names.size() !=
-  /// index.input_count() or output.size() != index.sample_count().
-  [[nodiscard]] ExtractionResult analyze_packed_shared(
-      const logic::CombinationIndex& index, const logic::BitStream& output,
-      std::vector<std::string> input_names, std::string output_name) const;
+  /// The reference stages on `vector<bool>` streams: analyze_cases, then
+  /// analyze_variation, then ConstBoolExpr. The test oracle of
+  /// analyze_packed, bit-identical to it, and the one entry point that
+  /// fills `cases.cases[c].output_stream` (the Figure 2 and 3 benches
+  /// render those streams). Same validation as analyze_packed.
+  [[nodiscard]] ExtractionResult analyze_digital(
+      const DigitalData& data, std::vector<std::string> input_names,
+      std::string output_name) const;
 
   [[nodiscard]] const AnalyzerConfig& config() const noexcept { return config_; }
 

@@ -66,16 +66,9 @@ void threshold_sweep(const circuits::CircuitSpec& spec,
 /// Variant that keeps one simulation (at the base config's input level)
 /// and only re-digitizes at each threshold — an ablation that isolates the
 /// ADC's contribution to Figure 5's effect from the input-drive
-/// contribution. The shared simulation uses base_config.seed directly; the
-/// per-threshold re-analyses are fanned out across `jobs` workers. Under
-/// the default packed backend the clamped input streams digitize
-/// identically for every threshold at or below the drive level, so after
-/// a parallel per-point input digitization the points are grouped by
-/// their digitized input planes and share one `logic::CombinationIndex`
-/// per group — the 2^N-mask construction (the expensive part) runs once
-/// per *group*, and each point's job re-digitizes only the output stream
-/// before the word-parallel stages. Results are bit-identical to a
-/// per-point re-analysis. The shared run is a core::simulate_trace pass
+/// contribution. The shared simulation uses base_config.seed directly;
+/// each point is a core::reanalyze of it at that threshold, fanned out
+/// across `jobs` workers. The shared run is a core::simulate_trace pass
 /// (it keeps the analog trace to re-digitize), archived like any other
 /// replicate when base_config names a spill directory.
 [[nodiscard]] ThresholdSweepResult threshold_sweep_redigitize(

@@ -1,5 +1,8 @@
 #include "core/variation_analyzer.h"
 
+#include <cstdint>
+
+#include "logic/input_runs.h"
 #include "util/errors.h"
 
 namespace glva::core {
@@ -31,31 +34,41 @@ VariationAnalysis analyze_variation(const CaseAnalysis& cases) {
   return analysis;
 }
 
-VariationAnalysis analyze_variation_packed(const PackedCaseAnalysis& cases) {
-  return analyze_variation_packed(cases.index, cases.output);
-}
-
-VariationAnalysis analyze_variation_packed(
-    const logic::CombinationIndex& index, const logic::BitStream& output) {
-  if (output.size() != index.sample_count()) {
-    throw InvalidArgument(
-        "analyze_variation_packed: output length does not match the index");
+VariationAnalysis analyze_runs(const PackedDigitalData& data) {
+  logic::InputRunWalker walker(data.inputs);
+  if (data.inputs.front().size() != data.output.size()) {
+    throw InvalidArgument("analyze_runs: input/output stream lengths differ");
   }
   VariationAnalysis analysis;
-  analysis.input_count = index.input_count();
-  analysis.records.resize(index.combination_count());
-
+  analysis.input_count = data.input_count();
+  analysis.records.resize(std::size_t{1} << analysis.input_count);
   for (std::size_t c = 0; c < analysis.records.size(); ++c) {
-    VariationRecord& out = analysis.records[c];
-    const logic::BitStream& mask = index.mask(c);
-    out.combination = c;
-    out.case_count = index.count(c);
-    out.high_count = logic::and_popcount(mask, output);
-    out.variation_count = logic::masked_transition_count(mask, output);
-    out.fov_est = out.case_count > 0
-                      ? static_cast<double>(out.variation_count) /
-                            static_cast<double>(out.case_count)
-                      : 0.0;
+    analysis.records[c].combination = c;
+  }
+
+  // The output bit each combination's latest run ended on.
+  constexpr std::uint8_t kUnseen = 2;
+  std::vector<std::uint8_t> last_bit(analysis.records.size(), kUnseen);
+  const logic::BitStream& output = data.output;
+  logic::InputRun run;
+  while (walker.next(run)) {
+    const std::size_t end = run.start + run.length;
+    VariationRecord& record = analysis.records[run.combination];
+    record.case_count += run.length;
+    record.high_count += output.popcount(run.start, end);
+    record.variation_count += output.transition_count(run.start, end);
+    std::uint8_t& last = last_bit[run.combination];
+    if (last != kUnseen && output[run.start] != (last == 1)) {
+      ++record.variation_count;
+    }
+    last = output[end - 1] ? 1 : 0;
+  }
+
+  for (VariationRecord& record : analysis.records) {
+    record.fov_est = record.case_count > 0
+                         ? static_cast<double>(record.variation_count) /
+                               static_cast<double>(record.case_count)
+                         : 0.0;
   }
   return analysis;
 }

@@ -10,11 +10,12 @@
 /// (HIGH_O) and "how many times the output varies, i.e. changing 0-to-1 and
 /// 1-to-0" (O_Var).
 ///
-/// Like the CaseAnalyzer, it exists in a reference form (per-bit loop over
-/// the materialized streams) and a packed form (popcounts over
-/// mask-selected words). Both produce bit-identical VariationAnalysis
-/// values — HIGH_O, O_Var, and Case_I are integers, and FOV_EST divides
-/// the same integers in the same order.
+/// It exists in a reference form (a per-bit loop over the CaseAnalyzer's
+/// materialized streams) and the production form `analyze_runs`, which
+/// counts lines 5 and 6 together along the input runs of packed planes.
+/// Both produce bit-identical VariationAnalysis values: HIGH_O, O_Var and
+/// Case_I are integers, and FOV_EST divides the same integers in the same
+/// order.
 namespace glva::core {
 
 /// Per-combination stability statistics.
@@ -41,22 +42,16 @@ struct VariationAnalysis {
 /// O(samples) total across combinations.
 [[nodiscard]] VariationAnalysis analyze_variation(const CaseAnalysis& cases);
 
-/// Packed twin of `analyze_variation`: HIGH_O[c] =
-/// popcount(mask(c) & output) and O_Var[c] = masked_transition_count(
-/// mask(c), output) — the compacted-stream transition count, so a
-/// combination interrupted and resumed by the sweep still compares its
-/// last pre-gap sample against its first post-gap sample, exactly like the
-/// reference's logged stream. Bit-identical to analyze_variation(
-/// analyze_cases(...)) on the same digitized data. O(2^N · samples / 64).
-[[nodiscard]] VariationAnalysis analyze_variation_packed(
-    const PackedCaseAnalysis& analysis);
-
-/// Shared-index form: identical counting over a borrowed index and output
-/// stream (the index must have been built from this output's digitized
-/// input streams — same sample count). Lets a re-digitizing threshold
-/// sweep reuse one index across points without copying its 2^N masks.
-/// Throws glva::InvalidArgument when output.size() != index.sample_count().
-[[nodiscard]] VariationAnalysis analyze_variation_packed(
-    const logic::CombinationIndex& index, const logic::BitStream& output);
+/// Lines 5 and 6 of Algorithm 1 in one pass over packed planes, along
+/// the input runs of logic::InputRunWalker. Each run of combination c and
+/// length L adds L to Case_I[c], the run's 1-bits to HIGH_O[c] and its
+/// in-run output transitions to O_Var[c]. A run that resumes c after
+/// other combinations adds one more to O_Var[c] when its first output bit
+/// differs from the last bit c logged before the gap, which is the
+/// compacted-stream semantics of the reference (docs/ANALYSIS.md).
+/// Bit-identical to analyze_variation(analyze_cases(unpack(data))).
+/// Throws glva::InvalidArgument for no inputs, more than 16, or streams of
+/// different lengths. O(N · samples / 64) plus O(N + 1) per run.
+[[nodiscard]] VariationAnalysis analyze_runs(const PackedDigitalData& data);
 
 }  // namespace glva::core

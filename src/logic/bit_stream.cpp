@@ -122,6 +122,78 @@ std::size_t BitStream::transition_count() const {
 
 namespace {
 
+/// Ones at bit positions [from, 64) of a word; from < 64.
+constexpr std::uint64_t bits_from(std::size_t from) noexcept {
+  return ~std::uint64_t{0} << from;
+}
+
+/// Ones at bit positions [0, through] of a word; through < 64.
+constexpr std::uint64_t bits_through(std::size_t through) noexcept {
+  return ~std::uint64_t{0} >> (BitStream::kWordBits - 1 - through);
+}
+
+}  // namespace
+
+void BitStream::require_range(std::size_t begin, std::size_t end,
+                              const char* what) const {
+  if (begin > end || end > size_) {
+    throw InvalidArgument(std::string(what) + ": range out of bounds");
+  }
+}
+
+std::size_t BitStream::popcount(std::size_t begin, std::size_t end) const {
+  require_range(begin, end, "BitStream::popcount");
+  if (begin == end) return 0;
+  const std::size_t first = begin / kWordBits;
+  const std::size_t last = (end - 1) / kWordBits;
+  const std::uint64_t head = words_[first] & bits_from(begin % kWordBits);
+  const std::uint64_t tail = bits_through((end - 1) % kWordBits);
+  if (first == last) return static_cast<std::size_t>(std::popcount(head & tail));
+  return static_cast<std::size_t>(std::popcount(head)) +
+         simd::active().popcount_words(words_.data() + first + 1,
+                                       last - first - 1) +
+         static_cast<std::size_t>(std::popcount(words_[last] & tail));
+}
+
+std::size_t BitStream::transition_count(std::size_t begin,
+                                        std::size_t end) const {
+  require_range(begin, end, "BitStream::transition_count");
+  if (end - begin < 2) return 0;
+  const std::size_t first = begin / kWordBits;
+  const std::size_t last = (end - 1) / kWordBits;
+  // The kernel counts every sample in (64·first, end) that differs from
+  // its predecessor; take back those at or before `begin`, whose
+  // predecessors all sit in word `first`.
+  std::size_t count = simd::active().transition_count_words(
+      words_.data() + first, last - first + 1,
+      bits_through((end - 1) % kWordBits));
+  const std::size_t below = begin % kWordBits;
+  if (below != 0) {
+    const std::uint64_t word = words_[first];
+    count -= static_cast<std::size_t>(std::popcount(
+        (word ^ (word << 1)) & bits_through(below) & ~std::uint64_t{1}));
+  }
+  return count;
+}
+
+std::size_t BitStream::find_zero(std::size_t begin, std::size_t end) const {
+  require_range(begin, end, "BitStream::find_zero");
+  if (begin == end) return end;
+  const std::size_t first = begin / kWordBits;
+  const std::size_t last = (end - 1) / kWordBits;
+  for (std::size_t w = first; w <= last; ++w) {
+    std::uint64_t zeros = ~words_[w];
+    if (w == first) zeros &= bits_from(begin % kWordBits);
+    if (w == last) zeros &= bits_through((end - 1) % kWordBits);
+    if (zeros != 0) {
+      return w * kWordBits + static_cast<std::size_t>(std::countr_zero(zeros));
+    }
+  }
+  return end;
+}
+
+namespace {
+
 /// Shared size check for the binary word-parallel operations.
 void require_same_size(const BitStream& a, const BitStream& b,
                        const char* what) {
@@ -174,55 +246,6 @@ std::size_t and_popcount(const BitStream& a, const BitStream& b) {
   const std::span<const std::uint64_t> wa = a.words();
   const std::span<const std::uint64_t> wb = b.words();
   return simd::active().and_popcount_words(wa.data(), wb.data(), wa.size());
-}
-
-std::size_t masked_transition_count(const BitStream& mask,
-                                    const BitStream& stream) {
-  require_same_size(mask, stream, "masked_transition_count");
-  const std::span<const std::uint64_t> mask_words = mask.words();
-  const std::span<const std::uint64_t> stream_words = stream.words();
-
-  // Word-parallel common case — transitions between consecutive samples
-  // that are both selected — is the dispatched bulk kernel.
-  std::size_t count = simd::active().masked_pair_transitions(
-      mask_words.data(), stream_words.data(), mask_words.size());
-
-  // Run starts (a selected sample whose predecessor sample is not
-  // selected) are patched scalar: compare against the most recent
-  // selected sample across the gap. Rare — one per input-combination
-  // phase in sweep data.
-  std::uint64_t carry_m = 0;  // bit 0 := last mask bit of the previous word
-  bool have_prev = false;     // a selected sample has been seen
-  bool prev_bit = false;      // stream bit of the most recent selected sample
-
-  for (std::size_t w = 0; w < mask_words.size(); ++w) {
-    const std::uint64_t m = mask_words[w];
-    const std::uint64_t s = stream_words[w];
-    if (m != 0) {
-      const std::uint64_t m_prev = (m << 1) | carry_m;
-      std::uint64_t starts = m & ~m_prev;
-      while (starts != 0) {
-        const int p = std::countr_zero(starts);
-        starts &= starts - 1;
-        const std::uint64_t below =
-            m & ((p == 0) ? 0 : ((std::uint64_t{1} << p) - 1));
-        bool have = have_prev;
-        bool last = prev_bit;
-        if (below != 0) {
-          const int q = BitStream::kWordBits - 1 - std::countl_zero(below);
-          have = true;
-          last = ((s >> q) & 1U) != 0;
-        }
-        if (have && (((s >> p) & 1U) != 0) != last) ++count;
-      }
-
-      const int top = BitStream::kWordBits - 1 - std::countl_zero(m);
-      prev_bit = ((s >> top) & 1U) != 0;
-      have_prev = true;
-    }
-    carry_m = m >> (BitStream::kWordBits - 1);
-  }
-  return count;
 }
 
 }  // namespace glva::logic

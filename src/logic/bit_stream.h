@@ -112,6 +112,24 @@ public:
   /// kernel set. O(size()/64).
   [[nodiscard]] std::size_t transition_count() const;
 
+  // Range forms over samples [begin, end), the per-run counters of the
+  // input-run reduction (logic/input_runs.h). Each throws
+  // glva::InvalidArgument unless begin <= end <= size(), and costs
+  // O(1 + (end - begin) / 64).
+
+  /// Number of 1-bits among samples [begin, end): HIGH_O, or a property's
+  /// satisfied samples, over one input run.
+  [[nodiscard]] std::size_t popcount(std::size_t begin, std::size_t end) const;
+
+  /// Transitions between adjacent samples that both lie in [begin, end):
+  /// O_Var inside one input run.
+  [[nodiscard]] std::size_t transition_count(std::size_t begin,
+                                             std::size_t end) const;
+
+  /// Lowest sample in [begin, end) whose bit is 0, or `end` when there is
+  /// none: a property's first violation inside one input run.
+  [[nodiscard]] std::size_t find_zero(std::size_t begin, std::size_t end) const;
+
   // Word-parallel bitwise combinations. The binary operators throw
   // glva::InvalidArgument when the sizes differ; operator~ re-masks the
   // tail so the invariant holds. All are O(size()/64).
@@ -130,6 +148,10 @@ private:
     return rem == 0 ? ~std::uint64_t{0} : ((std::uint64_t{1} << rem) - 1);
   }
 
+  /// Shared check of the range forms: begin <= end <= size().
+  void require_range(std::size_t begin, std::size_t end,
+                     const char* what) const;
+
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
@@ -138,16 +160,5 @@ private:
 /// HIGH_O counter of the packed analysis stage. Throws glva::InvalidArgument
 /// when the sizes differ. O(size/64).
 [[nodiscard]] std::size_t and_popcount(const BitStream& a, const BitStream& b);
-
-/// Transitions of `stream` restricted to the samples `mask` selects, in
-/// sample order — exactly the transition count of the *compacted* stream
-/// the reference CaseAnalyzer logs per input combination (the paper's
-/// O_Var), computed without materializing it. Two selected samples form a
-/// transition iff their stream bits differ and no selected sample lies
-/// between them; gaps (runs of unselected samples) do not reset the
-/// comparison. Throws glva::InvalidArgument when the sizes differ.
-/// O(size/64) plus O(1) per selection gap.
-[[nodiscard]] std::size_t masked_transition_count(const BitStream& mask,
-                                                  const BitStream& stream);
 
 }  // namespace glva::logic

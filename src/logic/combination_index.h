@@ -5,13 +5,11 @@
 
 #include "logic/bit_stream.h"
 
-/// The packed sample-to-combination classifier of the analysis stage: given
-/// the digitized input streams (the bit-planes of the paper's "input
-/// combination" id, input 0 = MSB), it derives, for every combination c,
-/// the selection mask of samples observed under c — replacing the
-/// reference CaseAnalyzer's per-sample branch with word-parallel AND
-/// masks, the digitize-then-count structure used by truth-table extraction
-/// from simulation data.
+/// A packed sample-to-combination classifier: given the digitized input
+/// streams (the bit-planes of the paper's "input combination" id, input
+/// 0 = MSB), it derives, for every combination c, the selection mask of
+/// samples observed under c, with word-parallel AND masks instead of the
+/// reference CaseAnalyzer's per-sample branch.
 namespace glva::logic {
 
 /// One packed pass over N input BitStreams producing 2^N sample-selection
@@ -20,17 +18,16 @@ namespace glva::logic {
 /// Mask construction: combination c's word w is the AND over inputs i of
 /// (input i's word w if bit i of c is set, else its complement), so every
 /// sample is selected by exactly one mask — the masks partition [0, n).
-/// Cost: O(2^N · N · samples / 64) time and O(2^N · samples / 8) bytes,
-/// which is why the packed representation is capped at kMaxInputs (the
-/// reference path still handles up to 16 inputs).
+/// Cost: O(2^N · N · samples / 64) time and O(2^N · samples / 8) bytes.
+///
+/// Production reduces along input runs instead (logic/input_runs.h); the
+/// index stays as a second oracle for the run reduction's tests and for
+/// the committed benchmark, which builds its own check reduction on it.
 class CombinationIndex {
 public:
   /// Hard cap on mask materialization: 2^N masks each occupy the bytes of
   /// one packed stream, so 8 inputs cost 256× one stream (32 MB at 10^6
-  /// samples) — already far past the point where the reference path's
-  /// O(N · samples) is the better trade. LogicAnalyzer stops *defaulting*
-  /// to the packed backend well below this (see kPackedAutoInputLimit in
-  /// core/logic_analyzer.h); the cap only bounds explicit users.
+  /// samples).
   static constexpr std::size_t kMaxInputs = 8;
 
   /// Empty placeholder (input_count() == 0), so result structs carrying an

@@ -65,20 +65,12 @@ struct KernelSet {
   /// counts iff sample 64w+k differs from its predecessor sample. Bit 0
   /// of word 0 has no predecessor and never counts; the last word's
   /// diff bits are masked by `tail_mask` (ones at the valid bit
-  /// positions). Precondition: n >= 1 and bits above the tail mask in
-  /// words[n-1] are zero (the BitStream tail invariant).
+  /// positions), so bits above it in words[n-1] are ignored — the range
+  /// form `BitStream::transition_count(begin, end)` ends mid-word.
+  /// Precondition: n >= 1.
   std::size_t (*transition_count_words)(const std::uint64_t* words,
                                         std::size_t n,
                                         std::uint64_t tail_mask);
-
-  /// The word-parallel term of masked_transition_count: with carries
-  /// flowing between consecutive words,
-  ///   Σ popcount(m & ((m << 1) | carry_m) & (s ^ ((s << 1) | carry_s)))
-  /// — transitions between *consecutive* samples that are both selected.
-  /// Run starts across selection gaps are patched scalar by the caller.
-  std::size_t (*masked_pair_transitions)(const std::uint64_t* mask,
-                                         const std::uint64_t* stream,
-                                         std::size_t n);
 
   /// The CombinationIndex mask build: out[w] = AND over i in
   /// [0, inputs) of (planes[i][w] ^ invert[i]), where invert[i] is 0

@@ -25,9 +25,6 @@ std::size_t scalar_and_popcount_words(const std::uint64_t* a,
 std::size_t scalar_transition_count_words(const std::uint64_t* words,
                                           std::size_t n,
                                           std::uint64_t tail_mask);
-std::size_t scalar_masked_pair_transitions(const std::uint64_t* mask,
-                                           const std::uint64_t* stream,
-                                           std::size_t n);
 void scalar_combine_masks(const std::uint64_t* const* planes,
                           const std::uint64_t* invert, std::size_t inputs,
                           std::size_t words, std::uint64_t* out);

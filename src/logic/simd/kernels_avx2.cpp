@@ -104,33 +104,6 @@ std::size_t avx2_transition_count_words(const std::uint64_t* words,
   return count;
 }
 
-std::size_t avx2_masked_pair_transitions(const std::uint64_t* mask,
-                                         const std::uint64_t* stream,
-                                         std::size_t n) {
-  if (n == 0) return 0;
-  // Word 0: zero carries.
-  std::size_t count = static_cast<std::size_t>(_mm_popcnt_u64(
-      mask[0] & (mask[0] << 1) & (stream[0] ^ (stream[0] << 1))));
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i m = loadu(mask + i);
-    const __m256i mp = _mm256_or_si256(_mm256_slli_epi64(m, 1),
-                                       _mm256_srli_epi64(loadu(mask + i - 1), 63));
-    const __m256i s = loadu(stream + i);
-    const __m256i sp = _mm256_or_si256(
-        _mm256_slli_epi64(s, 1), _mm256_srli_epi64(loadu(stream + i - 1), 63));
-    count += popcount256(
-        _mm256_and_si256(_mm256_and_si256(m, mp), _mm256_xor_si256(s, sp)));
-  }
-  for (; i < n; ++i) {
-    const std::uint64_t mp = (mask[i] << 1) | (mask[i - 1] >> 63);
-    const std::uint64_t sp = (stream[i] << 1) | (stream[i - 1] >> 63);
-    count += static_cast<std::size_t>(
-        _mm_popcnt_u64(mask[i] & mp & (stream[i] ^ sp)));
-  }
-  return count;
-}
-
 void avx2_combine_masks(const std::uint64_t* const* planes,
                         const std::uint64_t* invert, std::size_t inputs,
                         std::size_t words, std::uint64_t* out) {
@@ -263,7 +236,6 @@ const KernelSet* avx2_kernels() noexcept {
       &avx2_popcount_words,
       &avx2_and_popcount_words,
       &avx2_transition_count_words,
-      &avx2_masked_pair_transitions,
       &avx2_combine_masks,
       &avx2_or_shift_down_words,
       &avx2_and_shift_down_words,

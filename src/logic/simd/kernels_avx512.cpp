@@ -122,35 +122,6 @@ std::size_t avx512_transition_count_words(const std::uint64_t* words,
   return count;
 }
 
-std::size_t avx512_masked_pair_transitions(const std::uint64_t* mask,
-                                           const std::uint64_t* stream,
-                                           std::size_t n) {
-  if (n == 0) return 0;
-  std::size_t count = static_cast<std::size_t>(_mm_popcnt_u64(
-      mask[0] & (mask[0] << 1) & (stream[0] ^ (stream[0] << 1))));
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 1;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i m = loadu(mask + i);
-    const __m512i mp = _mm512_or_si512(
-        _mm512_slli_epi64(m, 1), _mm512_srli_epi64(loadu(mask + i - 1), 63));
-    const __m512i s = loadu(stream + i);
-    const __m512i sp = _mm512_or_si512(
-        _mm512_slli_epi64(s, 1), _mm512_srli_epi64(loadu(stream + i - 1), 63));
-    acc = _mm512_add_epi64(
-        acc, _mm512_popcnt_epi64(_mm512_and_si512(
-                 _mm512_and_si512(m, mp), _mm512_xor_si512(s, sp))));
-  }
-  count += static_cast<std::size_t>(reduce_add_epi64(acc));
-  for (; i < n; ++i) {
-    const std::uint64_t mp = (mask[i] << 1) | (mask[i - 1] >> 63);
-    const std::uint64_t sp = (stream[i] << 1) | (stream[i - 1] >> 63);
-    count += static_cast<std::size_t>(
-        _mm_popcnt_u64(mask[i] & mp & (stream[i] ^ sp)));
-  }
-  return count;
-}
-
 void avx512_combine_masks(const std::uint64_t* const* planes,
                           const std::uint64_t* invert, std::size_t inputs,
                           std::size_t words, std::uint64_t* out) {
@@ -278,7 +249,6 @@ const KernelSet* avx512_kernels() noexcept {
       &avx512_popcount_words,
       &avx512_and_popcount_words,
       &avx512_transition_count_words,
-      &avx512_masked_pair_transitions,
       &avx512_combine_masks,
       &avx512_or_shift_down_words,
       &avx512_and_shift_down_words,

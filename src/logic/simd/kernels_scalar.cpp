@@ -63,25 +63,6 @@ std::size_t scalar_transition_count_words(const std::uint64_t* words,
   return count;
 }
 
-std::size_t scalar_masked_pair_transitions(const std::uint64_t* mask,
-                                           const std::uint64_t* stream,
-                                           std::size_t n) {
-  std::size_t count = 0;
-  std::uint64_t carry_m = 0;  // bit 0 := last mask bit of the previous word
-  std::uint64_t carry_s = 0;  // bit 0 := last stream bit of the previous word
-  for (std::size_t w = 0; w < n; ++w) {
-    const std::uint64_t m = mask[w];
-    const std::uint64_t s = stream[w];
-    const std::uint64_t m_prev = (m << 1) | carry_m;
-    const std::uint64_t s_prev = (s << 1) | carry_s;
-    count +=
-        static_cast<std::size_t>(std::popcount(m & m_prev & (s ^ s_prev)));
-    carry_m = m >> 63;
-    carry_s = s >> 63;
-  }
-  return count;
-}
-
 void scalar_combine_masks(const std::uint64_t* const* planes,
                           const std::uint64_t* invert, std::size_t inputs,
                           std::size_t words, std::uint64_t* out) {
@@ -158,7 +139,6 @@ const KernelSet* scalar_kernels() noexcept {
       &scalar_popcount_words,
       &scalar_and_popcount_words,
       &scalar_transition_count_words,
-      &scalar_masked_pair_transitions,
       &scalar_combine_masks,
       &scalar_or_shift_down_words,
       &scalar_and_shift_down_words,

@@ -39,7 +39,6 @@ const KernelSet* sse2_kernels() noexcept {
       &scalar_popcount_words,
       &scalar_and_popcount_words,
       &scalar_transition_count_words,
-      &scalar_masked_pair_transitions,
       &scalar_combine_masks,
       &scalar_or_shift_down_words,
       &scalar_and_shift_down_words,

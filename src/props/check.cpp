@@ -1,14 +1,13 @@
 #include "props/check.h"
 
-#include <bit>
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "core/acquire.h"
 #include "core/adc.h"
-#include "core/logic_analyzer.h"
 #include "exec/seed_sequence.h"
-#include "logic/combination_index.h"
+#include "logic/input_runs.h"
 #include "obs/trace.h"
 #include "props/monitor.h"
 #include "props/reference.h"
@@ -20,21 +19,14 @@ namespace glva::props {
 
 namespace {
 
-/// One replicate end to end: acquire its planes, then evaluate every
-/// property with the monitor the backend picks (the analyzer's rule: the
-/// packed monitor up to kPackedAutoInputLimit inputs, the bit-identical
-/// reference evaluator beyond it).
+/// One replicate end to end: acquire its planes, then check them.
 CheckReplicate run_one(const circuits::CircuitSpec& spec,
                        const core::ExperimentConfig& config,
                        const std::vector<std::string>& names,
                        const std::vector<PropertyPtr>& properties) {
   const core::Acquisition acquired = core::acquire(spec, config);
   GLVA_SPAN("monitor");
-  if (core::packed_applies(config.backend, spec.input_ids.size())) {
-    return check_planes(acquired.planes, names, properties, config.seed);
-  }
-  return check_planes_reference(core::unpack(acquired.planes), names,
-                                properties, config.seed);
+  return check_planes(acquired.planes, names, properties, config.seed);
 }
 
 std::string violation_label(std::size_t index, double sampling_period) {
@@ -45,19 +37,15 @@ std::string violation_label(std::size_t index, double sampling_period) {
 
 }  // namespace
 
-/// Packed evaluation: one monitor pass per property, then per-combination
-/// reduction through the CombinationIndex masks — satisfaction counts via
-/// and_popcount, the first violation via the first nonzero word of
-/// mask & ~verdict.
 CheckReplicate check_planes(const core::PackedDigitalData& data,
                             const std::vector<std::string>& names,
                             const std::vector<PropertyPtr>& properties,
                             std::uint64_t seed) {
+  logic::InputRunWalker walker(data.inputs);
   CheckReplicate replicate;
   replicate.seed = seed;
   replicate.sample_count = data.sample_count();
 
-  const logic::CombinationIndex index(data.inputs);
   PackedNamedPlanes planes;
   planes.names = names;
   for (const logic::BitStream& input : data.inputs) {
@@ -65,36 +53,43 @@ CheckReplicate check_planes(const core::PackedDigitalData& data,
   }
   planes.planes.push_back(&data.output);
 
+  // Every verdict first, so one walk over the input runs reduces them all.
+  std::vector<logic::BitStream> verdicts;
+  verdicts.reserve(properties.size());
   for (const PropertyPtr& property : properties) {
-    const logic::BitStream verdict = evaluate_packed(*property, planes);
-    const std::span<const std::uint64_t> v = verdict.words();
-
+    verdicts.push_back(evaluate_packed(*property, planes));
     PropertyCheck check;
     check.property = to_string(*property);
     check.samples = data.sample_count();
-    for (std::size_t c = 0; c < index.combination_count(); ++c) {
-      const logic::BitStream& mask = index.mask(c);
-      const std::span<const std::uint64_t> m = mask.words();
-      CombinationCheck comb;
-      comb.combination = c;
-      comb.samples = index.count(c);
-      comb.satisfied = logic::and_popcount(mask, verdict);
-      for (std::size_t w = 0; w < m.size(); ++w) {
-        // ~v has ones in the tail, but the mask's zero tail kills them.
-        const std::uint64_t bad = m[w] & ~v[w];
-        if (bad != 0) {
-          comb.first_violation =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bad));
-          break;
-        }
-      }
-      check.satisfied += comb.satisfied;
-      if (comb.first_violation < check.first_violation) {
-        check.first_violation = comb.first_violation;
-      }
-      check.combinations.push_back(comb);
+    check.combinations.resize(std::size_t{1} << data.input_count());
+    for (std::size_t c = 0; c < check.combinations.size(); ++c) {
+      check.combinations[c].combination = c;
     }
     replicate.properties.push_back(std::move(check));
+  }
+
+  logic::InputRun run;
+  while (walker.next(run)) {
+    const std::size_t end = run.start + run.length;
+    for (std::size_t p = 0; p < verdicts.size(); ++p) {
+      CombinationCheck& comb =
+          replicate.properties[p].combinations[run.combination];
+      comb.samples += run.length;
+      comb.satisfied += verdicts[p].popcount(run.start, end);
+      // Runs come in sample order: the first violation found is the lowest.
+      if (comb.first_violation == kNoViolation) {
+        const std::size_t zero = verdicts[p].find_zero(run.start, end);
+        if (zero != end) comb.first_violation = zero;
+      }
+    }
+  }
+
+  for (PropertyCheck& check : replicate.properties) {
+    for (const CombinationCheck& comb : check.combinations) {
+      check.satisfied += comb.satisfied;
+      check.first_violation =
+          std::min(check.first_violation, comb.first_violation);
+    }
   }
   return replicate;
 }

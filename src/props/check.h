@@ -15,13 +15,12 @@
 /// `glva check` — temporal-property monitoring of simulated circuits.
 /// Acquires the usual input-combination sweep through core::acquire (same
 /// seeds, archives and digitization as `run_experiment`), then evaluates
-/// each property's
-/// per-sample verdict stream with the packed monitor (or the reference
-/// evaluator under --backend reference — results are bit-identical) and
-/// reduces it to per-input-combination satisfaction statistics. Replicate
-/// ensembles stream through exec::ParallelRunner::run_reduce exactly like
-/// core::run_ensemble: O(1) resident memory per replicate, an ordered
-/// observer tap for CSV export, and job-count-independent results.
+/// each property's per-sample verdict stream with the packed monitor and
+/// reduces it to per-input-combination satisfaction statistics along the
+/// input runs. Replicate ensembles stream through
+/// exec::ParallelRunner::run_reduce exactly like core::run_ensemble: O(1)
+/// resident memory per replicate, an ordered observer tap for CSV export,
+/// and job-count-independent results.
 namespace glva::props {
 
 /// Sentinel for "no violation observed".
@@ -67,11 +66,14 @@ struct CheckReplicate {
 };
 
 /// One replicate's check on its digitized planes: evaluate every
-/// property, then reduce each verdict per input combination. `names`
-/// names the planes, inputs (MSB first) then the output; `seed` is only
-/// recorded. This is the reduction run_check applies to every acquired
-/// replicate. Throws glva::InvalidArgument on mismatched plane lengths or
-/// a property naming an unknown plane.
+/// property with the packed monitor, then reduce each verdict per input
+/// combination along the input runs (logic::InputRunWalker): range
+/// popcounts give the satisfied samples and the first zero of the first
+/// violating run gives the first violation. `names` names the planes,
+/// inputs (MSB first) then the output; `seed` is only recorded. This is
+/// the reduction run_check applies to every acquired replicate. Throws
+/// glva::InvalidArgument for no inputs, more than 16, mismatched plane
+/// lengths, or a property naming an unknown plane.
 [[nodiscard]] CheckReplicate check_planes(
     const core::PackedDigitalData& data, const std::vector<std::string>& names,
     const std::vector<PropertyPtr>& properties, std::uint64_t seed = 0);
@@ -126,9 +128,8 @@ using CheckObserver =
     std::function<void(std::size_t replicate, const CheckReplicate& result)>;
 
 /// Run `replicates` independent simulate→digitize→monitor replicates,
-/// seeded from (config.seed, replicate) via exec::SeedSequence. Properties
-/// are evaluated with the backend selected by config.backend; both
-/// backends produce bit-identical counts. Throws glva::InvalidArgument on
+/// seeded from (config.seed, replicate) via exec::SeedSequence, each
+/// checked by check_planes. Throws glva::InvalidArgument on
 /// zero replicates, an empty property list, a property referencing an
 /// unknown plane, or a config core::acquire rejects.
 [[nodiscard]] CheckResult run_check(const circuits::CircuitSpec& spec,

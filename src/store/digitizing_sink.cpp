@@ -11,7 +11,7 @@ namespace glva::store {
 DigitizingSink::DigitizingSink(std::vector<std::string> species_ids,
                                double threshold)
     : species_ids_(std::move(species_ids)), threshold_(threshold) {
-  if (threshold_ <= 0.0) {
+  if (!(threshold_ > 0.0)) {  // NaN fails too
     throw InvalidArgument("DigitizingSink: threshold must be positive");
   }
   if (species_ids_.empty()) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "circuits/circuit_repository.h"
 #include "core/acquire.h"
@@ -283,25 +284,19 @@ TEST(LogicAnalyzer, EndToEndOnSyntheticTrace) {
 }
 
 TEST(LogicAnalyzer, ConfigIsValidated) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{0.0, 0.25}), InvalidArgument);
+  EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{nan, 0.25}), InvalidArgument);
   EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{15.0, 0.0}), InvalidArgument);
   EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{15.0, 2.0}), InvalidArgument);
+  EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{15.0, nan}), InvalidArgument);
 }
 
-TEST(LogicAnalyzer, BackendNamesRoundTrip) {
-  EXPECT_EQ(parse_analysis_backend("packed"), AnalysisBackend::kPacked);
-  EXPECT_EQ(parse_analysis_backend("reference"), AnalysisBackend::kReference);
-  EXPECT_STREQ(analysis_backend_name(AnalysisBackend::kPacked), "packed");
-  EXPECT_STREQ(analysis_backend_name(AnalysisBackend::kReference),
-               "reference");
-  EXPECT_THROW((void)parse_analysis_backend("simd"), InvalidArgument);
-}
-
-/// Everything downstream stages consume must agree bit for bit between the
-/// two backends (the representations may differ only in cases.output_stream
-/// materialization).
-void expect_backend_equivalent(const ExtractionResult& packed,
-                               const ExtractionResult& reference) {
+/// Everything downstream stages consume must agree bit for bit between
+/// analyze_packed and the reference stages (the two may differ only in
+/// cases.output_stream materialization).
+void expect_same_extraction(const ExtractionResult& packed,
+                            const ExtractionResult& reference) {
   ASSERT_EQ(packed.variation.records.size(),
             reference.variation.records.size());
   for (std::size_t c = 0; c < reference.variation.records.size(); ++c) {
@@ -325,7 +320,7 @@ void expect_backend_equivalent(const ExtractionResult& packed,
   EXPECT_EQ(packed.construction.unstable, reference.construction.unstable);
 }
 
-TEST(LogicAnalyzer, PackedAndReferenceBackendsAreBitIdentical) {
+TEST(LogicAnalyzer, TracePathMatchesTheReferenceStages) {
   // A noisy 2-input trace with glitches: sweep 4 combinations, output
   // follows AND with a transient at each phase boundary.
   sim::Rng rng(99);
@@ -339,15 +334,14 @@ TEST(LogicAnalyzer, PackedAndReferenceBackendsAreBitIdentical) {
     trace.append(k, {a ? 20.0 : 0.0, b ? 20.0 : 0.0,
                      (high ? 40.0 : 2.0) + noise});
   }
-  const LogicAnalyzer packed(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kPacked});
-  const LogicAnalyzer reference(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kReference});
-  expect_backend_equivalent(packed.analyze(trace, {"A", "B"}, "Y"),
-                            reference.analyze(trace, {"A", "B"}, "Y"));
+  const LogicAnalyzer analyzer(AnalyzerConfig{15.0, 0.25});
+  expect_same_extraction(
+      analyzer.analyze(trace, {"A", "B"}, "Y"),
+      analyzer.analyze_digital(digitize(trace, {"A", "B"}, "Y", 15.0),
+                               {"A", "B"}, "Y"));
 }
 
-TEST(LogicAnalyzer, AnalyzeDigitalAgreesAcrossBackends) {
+TEST(LogicAnalyzer, AnalyzePackedMatchesAnalyzeDigital) {
   sim::Rng rng(7);
   DigitalData data;
   data.inputs.assign(2, {});
@@ -356,16 +350,15 @@ TEST(LogicAnalyzer, AnalyzeDigitalAgreesAcrossBackends) {
     data.inputs[1].push_back(rng.below(2) == 1);
     data.output.push_back(rng.below(2) == 1);
   }
-  const LogicAnalyzer packed(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kPacked});
-  const LogicAnalyzer reference(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kReference});
-  expect_backend_equivalent(packed.analyze_digital(data, {"A", "B"}, "Y"),
-                            reference.analyze_digital(data, {"A", "B"}, "Y"));
-  // The explicitly packed entry point agrees too.
-  expect_backend_equivalent(
-      packed.analyze_packed(pack(data), {"A", "B"}, "Y"),
-      reference.analyze_digital(data, {"A", "B"}, "Y"));
+  const LogicAnalyzer analyzer;
+  const ExtractionResult reference =
+      analyzer.analyze_digital(data, {"A", "B"}, "Y");
+  expect_same_extraction(analyzer.analyze_packed(pack(data), {"A", "B"}, "Y"),
+                         reference);
+  // Only the reference stages log the per-combination output streams.
+  for (const CaseRecord& record : reference.cases.cases) {
+    EXPECT_EQ(record.output_stream.size(), record.case_count);
+  }
 }
 
 // --------------------------------------------------------------- verifier
@@ -433,17 +426,16 @@ TEST(Report, BarsMarkAcceptedCombinations) {
   EXPECT_NE(bars.find("Var_O"), std::string::npos);
 }
 
-// The re-digitizing threshold sweep reuses one CombinationIndex across
-// points whose clamped input streams digitize identically (PR 3 follow-up);
-// its output must stay exactly what a per-point re-analysis produces.
-TEST(ThresholdSweepRedigitize, SharedIndexLeavesSweepOutputUnchanged) {
+// The re-digitizing threshold sweep shares one simulation across its
+// points; each point must extract exactly what a re-analysis of that
+// simulation at its threshold produces, in point order, for any job count.
+TEST(ThresholdSweepRedigitize, MatchesPerPointReanalysis) {
   const auto spec = circuits::CircuitRepository::build("myers_and");
   core::ExperimentConfig config;
   config.total_time = 400.0;
   config.seed = 9;
   // Thresholds straddling the drive level (inputs applied at 15): {3, 10,
-  // 15} digitize the clamped inputs identically, 40 zeroes them — two
-  // index classes behind the scenes, four points of output.
+  // 15} digitize the clamped inputs identically, 40 zeroes them.
   const std::vector<double> thresholds = {3.0, 10.0, 15.0, 40.0};
 
   const auto sweep =
@@ -478,16 +470,14 @@ TEST(ThresholdSweepRedigitize, SharedIndexLeavesSweepOutputUnchanged) {
     }
   }
 
-  // And the reuse path agrees with the reference backend's sweep.
-  core::ExperimentConfig reference_config = config;
-  reference_config.backend = core::AnalysisBackend::kReference;
-  const auto reference_sweep =
-      core::threshold_sweep_redigitize(spec, reference_config, thresholds, 1);
+  // And a one-worker sweep commits the same points.
+  const auto serial =
+      core::threshold_sweep_redigitize(spec, config, thresholds, 1);
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     EXPECT_EQ(sweep.points[i].result.extraction.expression(),
-              reference_sweep.points[i].result.extraction.expression());
+              serial.points[i].result.extraction.expression());
     EXPECT_EQ(sweep.points[i].result.extraction.fitness(),
-              reference_sweep.points[i].result.extraction.fitness());
+              serial.points[i].result.extraction.fitness());
   }
 }
 

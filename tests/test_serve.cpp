@@ -224,7 +224,7 @@ TEST(CanonicalKey, FlagOrderAndSpelledDefaultsHashIdentically) {
   const Request terse = make_request({"--seed", "7"});
   const Request spelled = make_request(
       {"--threshold", "15", "--method", "direct", "--seed", "7",
-       "--backend", "packed", "--fov-ud", "0.25", "--sink", "mem",
+       "--fov-ud", "0.25", "--sink", "mem",
        "--total-time", "10000", "--sampling-period", "1"});
   EXPECT_EQ(glva::app::canonical_key(terse),
             glva::app::canonical_key(spelled));
@@ -272,13 +272,12 @@ TEST(CanonicalKey, EverySemanticFieldChangesTheKey) {
 }
 
 TEST(CanonicalKey, PlacementOnlyFieldsAreExcluded) {
-  // spill_dir and sink choose what is archived where, and the backends
-  // are bit-identical: none of them can change a response byte.
+  // spill_dir and sink choose what is archived where: neither can change
+  // a response byte.
   const std::string base = glva::app::canonical_key(make_request({}));
   const std::vector<std::vector<std::string>> variants = {
       {"--sink", "spill", "--spill-dir", "/tmp/a"},
       {"--sink", "spill", "--spill-dir", "/tmp/b"},
-      {"--backend", "reference"},
       {"--sink", "digitize"},
   };
   for (const auto& options : variants) {
@@ -707,7 +706,9 @@ TEST(ServeEndToEnd, NonFiniteOrNonPositiveConfigFailsFastEverywhere) {
     const char* option;
     const char* value;
     const char* field;
+    std::vector<std::string> ops = {"verify", "check"};
   };
+  const std::vector<std::string> grid = {"sweep"};
   const std::vector<Case> cases = {
       {"--total-time", "nan", "total_time"},
       {"--total-time", "inf", "total_time"},
@@ -717,15 +718,29 @@ TEST(ServeEndToEnd, NonFiniteOrNonPositiveConfigFailsFastEverywhere) {
       {"--threshold", "nan", "threshold"},
       {"--threshold", "inf", "threshold"},
       {"--seed", "-1", "seed"},
+      {"--fov-ud", "nan", "fov_ud", {"verify", "check", "sweep"}},
+      {"--fov-ud", "0", "fov_ud"},
+      {"--fov-ud", "2", "fov_ud"},
+      {"--fov-ud", "inf", "fov_ud"},
+      {"--fov-ud", "-1", "fov_ud"},
+      {"--min-satisfaction", "nan", "min-satisfaction", {"check"}},
+      {"--thresholds", "nan", "thresholds", grid},
+      {"--thresholds", "inf", "thresholds", grid},
+      {"--thresholds", "15,nan", "thresholds", grid},
+      {"--thresholds", "0", "thresholds", grid},
+      // The retired analysis-backend switch is an unknown option now.
+      {"--backend", "reference", "--backend"},
   };
   // Each case must be refused before anything simulates: far below this
   // bound, where a hang or a paper-scale run would be far above it.
   constexpr auto kBound = std::chrono::seconds(2);
   Server server(small_server_options());
   for (const Case& c : cases) {
-    for (const std::string op : {"verify", "check"}) {
+    for (const std::string& op : c.ops) {
       std::vector<std::string> options = {c.option, c.value};
       if (op == "check") options.insert(options.end(), {"--property", "G GFP"});
+      // The re-digitizing sweep used to analyze a bad grid point.
+      if (op == "sweep") options.push_back("--redigitize");
       const std::string label = op + " " + c.option + " " + c.value;
       const auto start = std::chrono::steady_clock::now();
 

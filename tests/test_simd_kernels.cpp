@@ -34,7 +34,6 @@ using namespace glva;
 using logic::BitStream;
 using logic::simd::IsaLevel;
 using logic::simd::KernelSet;
-using testutil::naive_masked_transitions;
 using testutil::naive_popcount;
 using testutil::naive_transitions;
 using testutil::random_bools;
@@ -104,7 +103,6 @@ TEST(SimdDispatch, AvailableSetsAreOrderedAndSelfConsistent) {
     EXPECT_NE(sets[i]->popcount_words, nullptr);
     EXPECT_NE(sets[i]->and_popcount_words, nullptr);
     EXPECT_NE(sets[i]->transition_count_words, nullptr);
-    EXPECT_NE(sets[i]->masked_pair_transitions, nullptr);
     EXPECT_NE(sets[i]->combine_masks, nullptr);
     EXPECT_NE(sets[i]->or_shift_down_words, nullptr);
     EXPECT_NE(sets[i]->and_shift_down_words, nullptr);
@@ -208,28 +206,19 @@ TEST(SimdKernels, TransitionCountMatchesScalarAndNaiveAcrossTails) {
                                                   stream.word_count(), tail),
               expected)
         << "scalar reference diverged from naive, bits " << bits;
+    // Bits above the tail mask are ignored: the range counter hands the
+    // kernel a last word that runs on past the range.
+    std::vector<std::uint64_t> dirty(stream.words().begin(),
+                                     stream.words().end());
+    dirty.back() |= ~tail & rng.next_u64();
     for (const KernelSet* set : logic::simd::available_kernel_sets()) {
       EXPECT_EQ(set->transition_count_words(stream.words().data(),
                                             stream.word_count(), tail),
                 expected)
           << set->name << ", bits " << bits;
-    }
-  }
-}
-
-TEST(SimdKernels, MaskedPairTransitionsMatchesScalar) {
-  sim::Rng rng(113);
-  for (const std::size_t bits : {1u, 64u, 65u, 500u, 4096u, 4097u}) {
-    const BitStream mask = BitStream::pack(random_bools(bits, rng));
-    const BitStream stream = BitStream::pack(random_bools(bits, rng));
-    const std::size_t expected = scalar_ref().masked_pair_transitions(
-        mask.words().data(), stream.words().data(), mask.word_count());
-    for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-      EXPECT_EQ(set->masked_pair_transitions(mask.words().data(),
-                                             stream.words().data(),
-                                             mask.word_count()),
+      EXPECT_EQ(set->transition_count_words(dirty.data(), dirty.size(), tail),
                 expected)
-          << set->name << ", bits " << bits;
+          << set->name << ", dirty tail, bits " << bits;
     }
   }
 }
@@ -371,8 +360,14 @@ TEST(SimdForcedLevels, BitStreamCountsMatchNaiveUnderEveryLevel) {
       }
       EXPECT_EQ(logic::and_popcount(a, b), and_expected)
           << set->name << " n " << n;
-      EXPECT_EQ(logic::masked_transition_count(a, b),
-                naive_masked_transitions(ra, rb))
+      // The range counters of the run reduction, over a range that
+      // starts and ends mid-word.
+      const std::size_t begin = n / 3;
+      const std::size_t end = n - n / 5;
+      const std::vector<bool> range(ra.begin() + begin, ra.begin() + end);
+      EXPECT_EQ(a.popcount(begin, end), naive_popcount(range))
+          << set->name << " n " << n;
+      EXPECT_EQ(a.transition_count(begin, end), naive_transitions(range))
           << set->name << " n " << n;
     }
   }

@@ -1,7 +1,7 @@
 // Tests for the store/ streaming trace I/O subsystem: the TraceSink
 // contract, the .glvt spill format (round-trip fuzz, golden bytes, error
 // paths), fused sampler→ADC digitization, and the acquisition seam held
-// to the trace-path oracle under every archive spelling and backend.
+// to the trace-path oracle under every archive spelling and job count.
 
 #include <gtest/gtest.h>
 
@@ -1300,17 +1300,15 @@ TEST(Replay, ChunkReplayOfGoldenFileIsByteIdentical) {
 
 // ------------------------------------- acquisition vs the trace-path oracle
 
-/// One spelling of an experiment's acquisition: what --sink archives, the
-/// analysis backend, and the worker count.
+/// One spelling of an experiment's acquisition: what --sink archives and
+/// the worker count.
 struct AcquisitionCase {
   store::SinkKind sink;
-  core::AnalysisBackend backend;
   std::size_t jobs;
 };
 
 std::string case_label(const AcquisitionCase& c) {
-  return std::string(store::sink_kind_name(c.sink)) + "-" +
-         core::analysis_backend_name(c.backend) + "-j" +
+  return std::string(store::sink_kind_name(c.sink)) + "-j" +
          std::to_string(c.jobs);
 }
 
@@ -1362,12 +1360,7 @@ TEST(Acquisition, EverySpellingMatchesTheTracePathOracle) {
   std::vector<AcquisitionCase> cases;
   for (const auto sink : {store::SinkKind::kMemory, store::SinkKind::kSpill,
                           store::SinkKind::kDigitize}) {
-    for (const auto backend : {core::AnalysisBackend::kPacked,
-                               core::AnalysisBackend::kReference}) {
-      for (const std::size_t jobs : {1u, 4u}) {
-        cases.push_back({sink, backend, jobs});
-      }
-    }
+    for (const std::size_t jobs : {1u, 4u}) cases.push_back({sink, jobs});
   }
 
   for (const AcquisitionCase& c : cases) {
@@ -1376,7 +1369,6 @@ TEST(Acquisition, EverySpellingMatchesTheTracePathOracle) {
     config.total_time = 400.0;
     config.seed = 11;
     config.sink = c.sink;
-    config.backend = c.backend;
     config.spill_dir = temp_path("acquire_" + case_label(c)).string();
     fs::remove_all(config.spill_dir);
 
@@ -1423,6 +1415,14 @@ TEST(Acquisition, EverySpellingMatchesTheTracePathOracle) {
       expect_extractions_identical(result.extraction, expected.extraction);
       EXPECT_EQ(result.verification.wrong_state_count(),
                 expected.verification.wrong_state_count());
+      // So do the reference stages on the same digitized trace.
+      expect_extractions_identical(
+          result.extraction,
+          core::LogicAnalyzer(
+              core::AnalyzerConfig{config.threshold, config.fov_ud})
+              .analyze_digital(core::digitize(oracle.trace, spec.input_ids,
+                                              spec.output_id, config.threshold),
+                               spec.input_ids, spec.output_id));
       if (k > 0) {
         expect_check_matches_trace(checks[k - 1], oracle.trace, spec,
                                    config.threshold, properties);
@@ -1457,16 +1457,22 @@ TEST(ExperimentSinks, SpillRequiresDirectory) {
   EXPECT_THROW((void)core::run_experiment(spec, config), InvalidArgument);
 }
 
-TEST(ExperimentSinks, DigitizeWithReferenceBackendMatchesPacked) {
+TEST(ExperimentSinks, ReferenceStagesOnTheArchivedPlanesMatch) {
   const auto spec = circuits::CircuitRepository::build("myers_not");
   core::ExperimentConfig config;
   config.total_time = 100.0;
   config.sink = store::SinkKind::kDigitize;
-  const auto packed = core::run_experiment(spec, config);
-  config.backend = core::AnalysisBackend::kReference;
-  const auto reference = core::run_experiment(spec, config);
-  expect_extractions_identical(packed.extraction, reference.extraction);
-  EXPECT_EQ(packed.verification.matches, reference.verification.matches);
+  config.spill_dir = temp_path("reference_on_planes").string();
+  fs::remove_all(config.spill_dir);
+  const auto result = core::run_experiment(spec, config);
+  store::SpillReader reader(
+      (fs::path(config.spill_dir) / (spec.name + "-s1.glvt")).string());
+  const core::PackedDigitalData planes =
+      core::load_digitized(reader, spec.input_ids.size(), config.threshold);
+  expect_extractions_identical(
+      result.extraction,
+      core::LogicAnalyzer().analyze_digital(core::unpack(planes),
+                                            spec.input_ids, spec.output_id));
 }
 
 TEST(ExperimentSinks, EnsembleSpillIsJobCountInvariantWithPerReplicateFiles) {
