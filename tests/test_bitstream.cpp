@@ -19,6 +19,7 @@
 #include "fuzz_util.h"
 #include "logic/bit_stream.h"
 #include "logic/combination_index.h"
+#include "logic/input_runs.h"
 #include "sim/rng.h"
 #include "util/errors.h"
 
@@ -327,6 +328,20 @@ TEST(PackedAnalysis, AnalyzePackedKeepsCaseCountsDropsStreams) {
     EXPECT_EQ(counts.cases[c].combination, reference.cases[c].combination);
     EXPECT_EQ(counts.cases[c].case_count, reference.cases[c].case_count);
     EXPECT_TRUE(counts.cases[c].output_stream.empty());
+  }
+}
+
+TEST(PackedAnalysis, EmptyPlanesHaveNoRuns) {
+  core::PackedDigitalData data;
+  data.inputs.assign(2, BitStream());
+  logic::InputRunWalker walker(data.inputs);
+  logic::InputRun run;
+  EXPECT_FALSE(walker.next(run));
+  const core::VariationAnalysis runs = core::analyze_runs(data);
+  ASSERT_EQ(runs.records.size(), 4u);
+  for (const core::VariationRecord& record : runs.records) {
+    EXPECT_EQ(record.case_count, 0u);
+    EXPECT_EQ(record.fov_est, 0.0);
   }
 }
 

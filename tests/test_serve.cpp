@@ -728,7 +728,8 @@ TEST(ServeEndToEnd, NonFiniteOrNonPositiveConfigFailsFastEverywhere) {
       {"--thresholds", "inf", "thresholds", grid},
       {"--thresholds", "15,nan", "thresholds", grid},
       {"--thresholds", "0", "thresholds", grid},
-      // The retired analysis-backend switch is an unknown option now.
+      // No option selects an analysis path: spelling one is refused,
+      // never silently ignored.
       {"--backend", "reference", "--backend"},
   };
   // Each case must be refused before anything simulates: far below this
@@ -739,7 +740,7 @@ TEST(ServeEndToEnd, NonFiniteOrNonPositiveConfigFailsFastEverywhere) {
     for (const std::string& op : c.ops) {
       std::vector<std::string> options = {c.option, c.value};
       if (op == "check") options.insert(options.end(), {"--property", "G GFP"});
-      // The re-digitizing sweep used to analyze a bad grid point.
+      // --redigitize: its one shared simulation must not run either.
       if (op == "sweep") options.push_back("--redigitize");
       const std::string label = op + " " + c.option + " " + c.value;
       const auto start = std::chrono::steady_clock::now();
