@@ -83,8 +83,9 @@ struct PackedDigitalData {
     const sim::Trace& trace, const std::vector<std::string>& input_ids,
     const std::string& output_id, double threshold);
 
-/// Lossless conversions between the two representations (used by the
-/// equivalence tests and the figure benches). O(input_count · samples).
+/// Lossless conversions between the two representations, which the
+/// equivalence tests hold the production path to the reference with.
+/// O(input_count · samples).
 [[nodiscard]] PackedDigitalData pack(const DigitalData& data);
 [[nodiscard]] DigitalData unpack(const PackedDigitalData& data);
 
