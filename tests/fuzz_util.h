@@ -173,6 +173,18 @@ inline props::PropertyPtr random_property(std::size_t depth,
 
 // ----------------------------------------------------- naive references
 
+/// The first `bits` bits of a word array, LSB-first: the unpacked view
+/// the per-bit counters below take, so word kernels can be checked
+/// without any other word kernel in the loop.
+inline std::vector<bool> word_bits(const std::uint64_t* words,
+                                   std::size_t bits) {
+  std::vector<bool> out(bits);
+  for (std::size_t k = 0; k < bits; ++k) {
+    out[k] = ((words[k / 64] >> (k % 64)) & 1U) != 0;
+  }
+  return out;
+}
+
 /// Reference popcount over the unpacked representation.
 inline std::size_t naive_popcount(const std::vector<bool>& bits) {
   std::size_t count = 0;

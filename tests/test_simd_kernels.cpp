@@ -1,7 +1,8 @@
 // Conformance harness for the runtime-dispatched SIMD kernel layer
 // (src/logic/simd/): every compiled-in, CPU-supported kernel variant is
-// fuzzed bit-for-bit against the scalar reference tier — ragged tails,
-// misaligned pointers, NaN/±inf/-0.0/threshold-equal doubles — then the
+// fuzzed bit-for-bit against naive per-sample and per-bit oracles —
+// ragged tails, misaligned pointers, NaN/±inf/-0.0/threshold-equal
+// doubles, the edge words of the shift kernels, in place — then the
 // whole analysis pipeline is re-run under each forced level and must
 // reproduce the scalar verdict, PFoBE, and FOV fingerprints exactly.
 // CI additionally forces GLVA_SIMD=scalar/sse2 through the full suite and
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -39,6 +41,7 @@ using testutil::naive_transitions;
 using testutil::random_bools;
 using testutil::random_words;
 using testutil::special_doubles;
+using testutil::word_bits;
 
 constexpr double kThreshold = 15.0;
 
@@ -135,8 +138,13 @@ TEST(SimdDispatch, SetActiveRejectsUnavailableLevels) {
 }
 
 // --------------------------------------------- kernel-level conformance
+//
+// Every kernel of every runnable variant is held to a naive oracle that
+// calls no word kernel: the per-sample `>=` for the packer, the per-bit
+// counters of tests/fuzz_util.h for the counting kernels, and a per-bit
+// shift for the monitor's shift kernels.
 
-TEST(SimdKernels, PackThresholdBlockMatchesScalarOnSpecialValues) {
+TEST(SimdKernels, PackThresholdBlockMatchesComparisonOnSpecialValues) {
   sim::Rng rng(101);
   for (const KernelSet* set : logic::simd::available_kernel_sets()) {
     for (const std::size_t words : {1u, 2u, 3u, 8u, 64u, 65u}) {
@@ -145,80 +153,61 @@ TEST(SimdKernels, PackThresholdBlockMatchesScalarOnSpecialValues) {
       const std::vector<double> buffer =
           special_doubles(words * 64 + 8, kThreshold, rng);
       for (const std::size_t offset : {0u, 1u, 3u, 7u}) {
-        std::vector<std::uint64_t> expected(words, 0xDEADBEEFu);
-        std::vector<std::uint64_t> actual(words, 0xFEEDFACEu);
-        scalar_ref().pack_threshold_block(buffer.data() + offset, words,
-                                          kThreshold, expected.data());
-        set->pack_threshold_block(buffer.data() + offset, words, kThreshold,
-                                  actual.data());
-        EXPECT_EQ(actual, expected)
-            << set->name << ", words " << words << ", offset " << offset;
+        const double* samples = buffer.data() + offset;
+        std::vector<std::uint64_t> packed(words, 0xFEEDFACEu);
+        set->pack_threshold_block(samples, words, kThreshold, packed.data());
+        const std::vector<bool> bits = word_bits(packed.data(), words * 64);
+        for (std::size_t k = 0; k < bits.size(); ++k) {
+          ASSERT_EQ(bits[k], samples[k] >= kThreshold)
+              << set->name << ", words " << words << ", offset " << offset
+              << ", sample " << k << " = " << samples[k];
+        }
       }
     }
   }
 }
 
-TEST(SimdKernels, PackThresholdBlockMatchesScalarComparisonSemantics) {
-  // Ground truth, independent of any kernel: bit j == (samples[j] >= th).
-  sim::Rng rng(103);
-  const std::vector<double> samples = special_doubles(256, kThreshold, rng);
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    std::vector<std::uint64_t> words(4);
-    set->pack_threshold_block(samples.data(), 4, kThreshold, words.data());
-    for (std::size_t k = 0; k < 256; ++k) {
-      const bool expected = samples[k] >= kThreshold;
-      const bool actual = ((words[k / 64] >> (k % 64)) & 1U) != 0;
-      ASSERT_EQ(actual, expected)
-          << set->name << ", sample " << k << " = " << samples[k];
-    }
-  }
-}
-
-TEST(SimdKernels, PopcountKernelsMatchScalarAcrossLengthsAndAlignment) {
+TEST(SimdKernels, PopcountMatchesNaiveAcrossLengthsAndAlignment) {
   sim::Rng rng(107);
   for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 63u, 64u, 65u}) {
-      const std::vector<std::uint64_t> a = random_words(n + 1, rng);
-      const std::vector<std::uint64_t> b = random_words(n + 1, rng);
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u,
+                                17u, 31u, 32u, 33u, 63u, 64u, 65u, 129u}) {
+      const std::vector<std::uint64_t> words = random_words(n + 1, rng);
       for (const std::size_t offset : {0u, 1u}) {  // +8 bytes breaks vector
-        EXPECT_EQ(set->popcount_words(a.data() + offset, n),      // alignment
-                  scalar_ref().popcount_words(a.data() + offset, n))
-            << set->name << ", n " << n << ", offset " << offset;
-        EXPECT_EQ(
-            set->and_popcount_words(a.data() + offset, b.data() + offset, n),
-            scalar_ref().and_popcount_words(a.data() + offset,
-                                            b.data() + offset, n))
+        const std::uint64_t* first = words.data() + offset;  // alignment
+        EXPECT_EQ(set->popcount_words(first, n),
+                  naive_popcount(word_bits(first, n * 64)))
             << set->name << ", n " << n << ", offset " << offset;
       }
     }
   }
 }
 
-TEST(SimdKernels, TransitionCountMatchesScalarAndNaiveAcrossTails) {
+TEST(SimdKernels, TransitionCountMatchesNaiveAcrossTails) {
   sim::Rng rng(109);
   for (const std::size_t bits :
-       {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 4095u, 4096u, 4097u}) {
+       {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 191u, 192u, 193u, 500u,
+        513u, 1000u, 2049u, 4095u, 4096u, 4097u}) {
     const std::vector<bool> reference = random_bools(bits, rng);
     const BitStream stream = BitStream::pack(reference);
     const std::uint64_t tail = tail_mask_for(bits);
     const std::size_t expected = naive_transitions(reference);
-    ASSERT_EQ(scalar_ref().transition_count_words(stream.words().data(),
-                                                  stream.word_count(), tail),
-              expected)
-        << "scalar reference diverged from naive, bits " << bits;
     // Bits above the tail mask are ignored: the range counter hands the
-    // kernel a last word that runs on past the range.
-    std::vector<std::uint64_t> dirty(stream.words().begin(),
-                                     stream.words().end());
+    // kernel a last word that runs on past the range. One leading word
+    // of noise misaligns the array; word 0 has no predecessor, so the
+    // kernel must not read it.
+    std::vector<std::uint64_t> dirty(1 + stream.word_count(), rng.next_u64());
+    std::copy(stream.words().begin(), stream.words().end(), dirty.begin() + 1);
     dirty.back() |= ~tail & rng.next_u64();
     for (const KernelSet* set : logic::simd::available_kernel_sets()) {
       EXPECT_EQ(set->transition_count_words(stream.words().data(),
                                             stream.word_count(), tail),
                 expected)
           << set->name << ", bits " << bits;
-      EXPECT_EQ(set->transition_count_words(dirty.data(), dirty.size(), tail),
+      EXPECT_EQ(set->transition_count_words(dirty.data() + 1,
+                                            stream.word_count(), tail),
                 expected)
-          << set->name << ", dirty tail, bits " << bits;
+          << set->name << ", dirty and misaligned, bits " << bits;
     }
   }
 }
@@ -257,9 +246,9 @@ TEST(SimdKernels, CombineMasksMatchesScalarUpToMaxInputs) {
   }
 }
 
-// The shift-combine kernels' executable spec: per-bit over the 64n-bit
-// array, with out-of-range view bits reading 0 for the OR forms and 1
-// for the AND form.
+// The shift kernels' oracle: per bit over the 64n-bit array, with
+// out-of-range view bits reading 0 for the OR forms and 1 for the AND
+// form.
 enum class ShiftKernel { kOrDown, kAndDown, kOrUp };
 
 std::vector<std::uint64_t> naive_shift_combine(
@@ -290,50 +279,93 @@ std::vector<std::uint64_t> naive_shift_combine(
   return out;
 }
 
-TEST(SimdKernels, ShiftCombineKernelsMatchNaiveIncludingAliasing) {
+using ShiftFn = void (*)(const std::uint64_t*, std::size_t, std::size_t,
+                         std::uint64_t*);
+
+struct ShiftKernelRow {
+  ShiftKernel kind;
+  const char* name;
+  ShiftFn KernelSet::*fn;
+};
+
+constexpr ShiftKernelRow kShiftKernels[] = {
+    {ShiftKernel::kOrDown, "or_shift_down", &KernelSet::or_shift_down_words},
+    {ShiftKernel::kAndDown, "and_shift_down",
+     &KernelSet::and_shift_down_words},
+    {ShiftKernel::kOrUp, "or_shift_up", &KernelSet::or_shift_up_words},
+};
+
+/// One shift case: every shift kernel of every variant runs it out of
+/// place and in place (dst == src, the monitor's cascade form).
+struct TestCase {
+  std::size_t words;
+  std::size_t shift;
+};
+
+constexpr TestCase kShiftCases[] = {
+    // n = 1 and n = 2: the last word is the whole array, or half of it.
+    TestCase{.words = 1, .shift = 0},     TestCase{.words = 1, .shift = 1},
+    TestCase{.words = 1, .shift = 63},    TestCase{.words = 1, .shift = 64},
+    TestCase{.words = 1, .shift = 65},    TestCase{.words = 1, .shift = 200},
+    TestCase{.words = 2, .shift = 0},     TestCase{.words = 2, .shift = 1},
+    TestCase{.words = 2, .shift = 63},    TestCase{.words = 2, .shift = 64},
+    TestCase{.words = 2, .shift = 65},    TestCase{.words = 2, .shift = 127},
+    TestCase{.words = 2, .shift = 128},   TestCase{.words = 2, .shift = 129},
+    TestCase{.words = 2, .shift = 1000},
+    // Longer arrays: vector bodies plus their edges, word multiples, the
+    // monitor's doubling steps, and 64n - 1, 64n and past the array.
+    TestCase{.words = 3, .shift = 1},     TestCase{.words = 3, .shift = 64},
+    TestCase{.words = 3, .shift = 100},   TestCase{.words = 3, .shift = 191},
+    TestCase{.words = 3, .shift = 192},   TestCase{.words = 3, .shift = 193},
+    TestCase{.words = 5, .shift = 1},     TestCase{.words = 5, .shift = 31},
+    TestCase{.words = 5, .shift = 63},    TestCase{.words = 5, .shift = 64},
+    TestCase{.words = 5, .shift = 65},    TestCase{.words = 5, .shift = 128},
+    TestCase{.words = 5, .shift = 255},   TestCase{.words = 5, .shift = 319},
+    TestCase{.words = 5, .shift = 320},   TestCase{.words = 5, .shift = 327},
+    TestCase{.words = 8, .shift = 1},     TestCase{.words = 8, .shift = 2},
+    TestCase{.words = 8, .shift = 4},     TestCase{.words = 8, .shift = 8},
+    TestCase{.words = 8, .shift = 64},    TestCase{.words = 8, .shift = 129},
+    TestCase{.words = 8, .shift = 256},   TestCase{.words = 8, .shift = 511},
+    TestCase{.words = 8, .shift = 512},   TestCase{.words = 8, .shift = 513},
+    TestCase{.words = 9, .shift = 1},     TestCase{.words = 9, .shift = 7},
+    TestCase{.words = 9, .shift = 64},    TestCase{.words = 9, .shift = 500},
+    TestCase{.words = 9, .shift = 575},   TestCase{.words = 9, .shift = 576},
+    TestCase{.words = 9, .shift = 577},   TestCase{.words = 17, .shift = 1},
+    TestCase{.words = 17, .shift = 9},    TestCase{.words = 17, .shift = 64},
+    TestCase{.words = 17, .shift = 128},  TestCase{.words = 17, .shift = 1087},
+    TestCase{.words = 17, .shift = 1088}, TestCase{.words = 33, .shift = 1},
+    TestCase{.words = 33, .shift = 63},   TestCase{.words = 33, .shift = 64},
+    TestCase{.words = 33, .shift = 65},   TestCase{.words = 33, .shift = 2111},
+    TestCase{.words = 33, .shift = 2112}, TestCase{.words = 33, .shift = 5000},
+    TestCase{.words = 65, .shift = 1},    TestCase{.words = 65, .shift = 2},
+    TestCase{.words = 65, .shift = 4},    TestCase{.words = 65, .shift = 8},
+    TestCase{.words = 65, .shift = 16},   TestCase{.words = 65, .shift = 32},
+    TestCase{.words = 65, .shift = 64},   TestCase{.words = 65, .shift = 65},
+    TestCase{.words = 65, .shift = 128},  TestCase{.words = 65, .shift = 256},
+    TestCase{.words = 65, .shift = 4095}, TestCase{.words = 65, .shift = 4159},
+    TestCase{.words = 65, .shift = 4160}, TestCase{.words = 65, .shift = 4161},
+};
+
+TEST(SimdKernels, ShiftKernelsMatchNaiveInAndOutOfPlace) {
   sim::Rng rng(131);
-  for (const std::size_t words : {1u, 2u, 5u, 8u, 9u, 65u}) {
-    for (const std::size_t shift :
-         {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{63},
-          std::size_t{64}, std::size_t{65}, std::size_t{127},
-          std::size_t{128}, std::size_t{129}, words * 64 - 1, words * 64,
-          words * 64 + 7}) {
-      const std::vector<std::uint64_t> src = random_words(words, rng);
-      const std::vector<std::uint64_t> dst = random_words(words, rng);
-      const struct {
-        ShiftKernel kind;
-        void (*kernel)(const std::uint64_t*, std::size_t, std::size_t,
-                       std::uint64_t*);
-        const char* name;
-      } cases[] = {
-          {ShiftKernel::kOrDown, scalar_ref().or_shift_down_words,
-           "or_shift_down"},
-          {ShiftKernel::kAndDown, scalar_ref().and_shift_down_words,
-           "and_shift_down"},
-          {ShiftKernel::kOrUp, scalar_ref().or_shift_up_words,
-           "or_shift_up"},
-      };
-      for (const auto& c : cases) {
-        const std::vector<std::uint64_t> expected =
-            naive_shift_combine(src, dst, shift, c.kind);
-        for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-          const auto kernel = c.kind == ShiftKernel::kOrDown
-                                  ? set->or_shift_down_words
-                                  : c.kind == ShiftKernel::kAndDown
-                                        ? set->and_shift_down_words
-                                        : set->or_shift_up_words;
-          std::vector<std::uint64_t> actual = dst;
-          kernel(src.data(), words, shift, actual.data());
-          EXPECT_EQ(actual, expected)
-              << set->name << " " << c.name << ", words " << words
-              << ", shift " << shift;
-          // The in-place cascade case: dst aliases src exactly.
-          std::vector<std::uint64_t> aliased = src;
-          kernel(aliased.data(), words, shift, aliased.data());
-          EXPECT_EQ(aliased, naive_shift_combine(src, src, shift, c.kind))
-              << set->name << " " << c.name << " aliased, words " << words
-              << ", shift " << shift;
-        }
+  for (const TestCase& c : kShiftCases) {
+    const std::vector<std::uint64_t> src = random_words(c.words, rng);
+    const std::vector<std::uint64_t> dst = random_words(c.words, rng);
+    for (const ShiftKernelRow& row : kShiftKernels) {
+      const std::vector<std::uint64_t> expected =
+          naive_shift_combine(src, dst, c.shift, row.kind);
+      const std::vector<std::uint64_t> expected_in_place =
+          naive_shift_combine(src, src, c.shift, row.kind);
+      for (const KernelSet* set : logic::simd::available_kernel_sets()) {
+        std::vector<std::uint64_t> out = dst;
+        (set->*row.fn)(src.data(), c.words, c.shift, out.data());
+        EXPECT_EQ(out, expected) << set->name << " " << row.name << ", words "
+                                 << c.words << ", shift " << c.shift;
+        std::vector<std::uint64_t> in_place = src;
+        (set->*row.fn)(in_place.data(), c.words, c.shift, in_place.data());
+        EXPECT_EQ(in_place, expected_in_place)
+            << set->name << " " << row.name << " in place, words " << c.words
+            << ", shift " << c.shift;
       }
     }
   }
