@@ -8,7 +8,8 @@
 //
 // The BM_kernel_* rows are registered once per available SIMD tier
 // (scalar/sse2/avx2/avx512), so one run shows the per-ISA throughput
-// ladder of every dispatched kernel. `--no-timings` skips the benchmark
+// ladder of every dispatched kernel, the property monitor's three shift
+// kernels included. `--no-timings` skips the benchmark
 // harness entirely and prints a deterministic kernel fingerprint (pinned
 // by tests/golden/bench_bitstream_kernels.txt).
 
@@ -134,6 +135,35 @@ std::vector<double> make_analog(std::size_t samples, std::uint64_t seed) {
   return values;
 }
 
+using ShiftKernel = void (*logic::simd::KernelSet::*)(const std::uint64_t*,
+                                                     std::size_t, std::size_t,
+                                                     std::uint64_t*);
+
+/// A shift kernel's row: the doubling cascade of a 512-sample bounded
+/// window (shifts 1, 2, 4, ..., 256), in place over one 10^6-bit plane,
+/// the way the property monitor calls it. The kernels' cost does not
+/// depend on the bits, so the plane is not restored between iterations.
+void register_shift_cascade(const logic::simd::KernelSet& set,
+                            const std::string& kernel, ShiftKernel fn) {
+  benchmark::RegisterBenchmark(
+      ("BM_kernel_" + kernel + "/" + set.name).c_str(),
+      [&set, fn](benchmark::State& state) {
+        const BitStream stream = make_stream(kKernelBits, 17);
+        std::vector<std::uint64_t> words(stream.words().begin(),
+                                         stream.words().end());
+        for (auto _ : state) {
+          for (std::size_t shift = 1; shift <= 256; shift *= 2) {
+            (set.*fn)(words.data(), kKernelWords, shift, words.data());
+          }
+          benchmark::DoNotOptimize(words.data());
+          benchmark::ClobberMemory();
+        }
+        state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
+                                static_cast<std::int64_t>(state.iterations()));
+      })
+      ->Unit(benchmark::kMicrosecond);
+}
+
 /// One BM_kernel_* row per (kernel, available ISA tier): the per-level
 /// throughput ladder of the dispatched analysis kernels, bypassing
 /// simd::active() so each row pins exactly one tier.
@@ -192,6 +222,11 @@ void register_kernel_benchmarks() {
                                   static_cast<std::int64_t>(state.iterations()));
         })
         ->Unit(benchmark::kMicrosecond);
+    register_shift_cascade(*set, "or_shift_down",
+                           &KernelSet::or_shift_down_words);
+    register_shift_cascade(*set, "and_shift_down",
+                           &KernelSet::and_shift_down_words);
+    register_shift_cascade(*set, "or_shift_up", &KernelSet::or_shift_up_words);
   }
 }
 
@@ -230,9 +265,7 @@ int run_no_timings() {
               static_cast<unsigned long long>(fold_words(packed)));
   std::printf("popcount_words: %zu\n",
               scalar->popcount_words(a.words().data(), kKernelWords));
-  std::printf("and_popcount_words: %zu\n",
-              scalar->and_popcount_words(a.words().data(), b.words().data(),
-                                         kKernelWords));
+  std::printf("and_popcount_words: %zu\n", logic::and_popcount(a, b));
   std::printf("transition_count_words: %zu\n",
               scalar->transition_count_words(a.words().data(), kKernelWords,
                                              ~std::uint64_t{0}));
@@ -253,10 +286,6 @@ int run_no_timings() {
         variant == packed &&
         set->popcount_words(a.words().data(), kKernelWords) ==
             scalar->popcount_words(a.words().data(), kKernelWords) &&
-        set->and_popcount_words(a.words().data(), b.words().data(),
-                                kKernelWords) ==
-            scalar->and_popcount_words(a.words().data(), b.words().data(),
-                                       kKernelWords) &&
         set->transition_count_words(a.words().data(), kKernelWords,
                                     ~std::uint64_t{0}) ==
             scalar->transition_count_words(a.words().data(), kKernelWords,
