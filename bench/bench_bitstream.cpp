@@ -6,10 +6,10 @@
 // measures; each counter reports items/s in *samples*, so packed and
 // reference rows are directly comparable.
 //
-// The BM_kernel_* rows are registered once per available SIMD tier
-// (scalar/sse2/avx2/avx512), so one run shows the per-ISA throughput
-// ladder of every dispatched kernel, the property monitor's three shift
-// kernels included. `--no-timings` skips the benchmark
+// The BM_kernel_* rows are registered once per runnable kernel variant
+// (scalar/avx2/avx512: one source compiled per ISA), so one run shows the
+// per-ISA throughput ladder of every dispatched kernel, the property
+// monitor's three shift kernels included. `--no-timings` skips the benchmark
 // harness entirely and prints a deterministic kernel fingerprint (pinned
 // by tests/golden/bench_bitstream_kernels.txt).
 
@@ -164,9 +164,9 @@ void register_shift_cascade(const logic::simd::KernelSet& set,
       ->Unit(benchmark::kMicrosecond);
 }
 
-/// One BM_kernel_* row per (kernel, available ISA tier): the per-level
+/// One BM_kernel_* row per (kernel, runnable variant): the per-ISA
 /// throughput ladder of the dispatched analysis kernels, bypassing
-/// simd::active() so each row pins exactly one tier.
+/// simd::active() so each row pins exactly one variant.
 void register_kernel_benchmarks() {
   using logic::simd::KernelSet;
   for (const KernelSet* set : logic::simd::available_kernel_sets()) {
@@ -192,19 +192,6 @@ void register_kernel_benchmarks() {
           for (auto _ : state) {
             benchmark::DoNotOptimize(
                 set->popcount_words(stream.words().data(), kKernelWords));
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
-                                  static_cast<std::int64_t>(state.iterations()));
-        })
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        ("BM_kernel_and_popcount/" + level).c_str(),
-        [set](benchmark::State& state) {
-          const BitStream a = make_stream(kKernelBits, 14);
-          const BitStream b = make_stream(kKernelBits, 15);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(set->and_popcount_words(
-                a.words().data(), b.words().data(), kKernelWords));
           }
           state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
                                   static_cast<std::int64_t>(state.iterations()));
@@ -242,58 +229,44 @@ std::uint64_t fold_words(const std::vector<std::uint64_t>& words) {
 }
 
 /// Timing-free mode for the golden test: print the deterministic results
-/// of every dispatched kernel on a fixed input, then one agreement row per
-/// x86-64 baseline tier (scalar, sse2 — always present on the CI hosts the
-/// golden is pinned for; wider tiers are checked by test_simd_kernels on
-/// hosts that have them, so the golden bytes never depend on the CPU).
+/// of the active kernel variant on a fixed input, then one agreement row
+/// for the baseline variant (present on every host, so the golden bytes
+/// never depend on the CPU; test_simd_kernels checks every variant).
 int run_no_timings() {
   using logic::simd::IsaLevel;
   using logic::simd::KernelSet;
+  const KernelSet& active = logic::simd::active();
   const KernelSet* scalar = logic::simd::kernel_set(IsaLevel::kScalar);
-  if (scalar == nullptr) return 1;
 
   const std::vector<double> analog = make_analog(kKernelBits, 12);
   const BitStream a = make_stream(kKernelBits, 13);
   const BitStream b = make_stream(kKernelBits, 14);
 
   std::vector<std::uint64_t> packed(kKernelWords);
-  scalar->pack_threshold_block(analog.data(), kKernelWords, 15.0,
-                               packed.data());
+  active.pack_threshold_block(analog.data(), kKernelWords, 15.0,
+                              packed.data());
+  const std::size_t ones = active.popcount_words(a.words().data(),
+                                                 kKernelWords);
+  const std::size_t transitions = active.transition_count_words(
+      a.words().data(), kKernelWords, ~std::uint64_t{0});
   std::printf("bench_bitstream kernel fingerprint (%zu bits, seeds 12-14)\n",
               kKernelBits);
   std::printf("pack_threshold_block: %016llx\n",
               static_cast<unsigned long long>(fold_words(packed)));
-  std::printf("popcount_words: %zu\n",
-              scalar->popcount_words(a.words().data(), kKernelWords));
+  std::printf("popcount_words: %zu\n", ones);
   std::printf("and_popcount_words: %zu\n", logic::and_popcount(a, b));
-  std::printf("transition_count_words: %zu\n",
-              scalar->transition_count_words(a.words().data(), kKernelWords,
-                                             ~std::uint64_t{0}));
+  std::printf("transition_count_words: %zu\n", transitions);
 
-  int rc = 0;
-  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kSSE2}) {
-    const KernelSet* set = logic::simd::kernel_set(level);
-    const char* name = logic::simd::isa_level_name(level);
-    if (set == nullptr) {
-      std::printf("%s: unavailable\n", name);
-      rc = 1;
-      continue;
-    }
-    std::vector<std::uint64_t> variant(kKernelWords);
-    set->pack_threshold_block(analog.data(), kKernelWords, 15.0,
-                              variant.data());
-    const bool ok =
-        variant == packed &&
-        set->popcount_words(a.words().data(), kKernelWords) ==
-            scalar->popcount_words(a.words().data(), kKernelWords) &&
-        set->transition_count_words(a.words().data(), kKernelWords,
-                                    ~std::uint64_t{0}) ==
-            scalar->transition_count_words(a.words().data(), kKernelWords,
-                                           ~std::uint64_t{0});
-    std::printf("%s: %s\n", name, ok ? "ok" : "MISMATCH");
-    if (!ok) rc = 1;
-  }
-  return rc;
+  std::vector<std::uint64_t> baseline(kKernelWords);
+  scalar->pack_threshold_block(analog.data(), kKernelWords, 15.0,
+                               baseline.data());
+  const bool ok =
+      baseline == packed &&
+      scalar->popcount_words(a.words().data(), kKernelWords) == ones &&
+      scalar->transition_count_words(a.words().data(), kKernelWords,
+                                     ~std::uint64_t{0}) == transitions;
+  std::printf("%s: %s\n", scalar->name, ok ? "ok" : "MISMATCH");
+  return ok ? 0 : 1;
 }
 
 }  // namespace

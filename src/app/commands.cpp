@@ -8,7 +8,6 @@
 #include "circuits/cello_circuits.h"
 #include "circuits/circuit_repository.h"
 #include "logic/quine_mccluskey.h"
-#include "logic/simd/kernel_set.h"
 #include "core/ensemble.h"
 #include "core/experiment.h"
 #include "core/report.h"
@@ -56,11 +55,6 @@ constexpr const char* kUsage =
     "  --jobs N                     worker threads for parallel workloads\n"
     "                               (0 = one per hardware thread; default 1;\n"
     "                               results are identical for every N)\n"
-    "  --simd LEVEL                 analysis kernel ISA: scalar | sse2 | avx2\n"
-    "                               | avx512 (default: widest the CPU "
-    "supports;\n"
-    "                               results are bit-identical at every "
-    "level)\n"
     "  --trace-out FILE             write a Chrome trace-event JSON of the\n"
     "                               run's stages to FILE (open in\n"
     "                               chrome://tracing or Perfetto)\n"
@@ -688,32 +682,6 @@ std::size_t extract_jobs_flag(std::vector<std::string>& args) {
   return jobs;
 }
 
-/// Strip the global `--simd LEVEL` / `--simd=LEVEL` flag out of `args` and
-/// pin the analysis kernel set to that ISA level. Throws
-/// glva::InvalidArgument on a missing value, an unknown level name, or a
-/// level this host cannot run. Takes precedence over the GLVA_SIMD
-/// environment variable (set_active wins over the lazy default resolve).
-void extract_simd_flag(std::vector<std::string>& args) {
-  for (std::size_t i = 0; i < args.size();) {
-    std::string value;
-    if (args[i] == "--simd") {
-      if (i + 1 >= args.size()) {
-        throw InvalidArgument("--simd: missing value");
-      }
-      value = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else if (util::starts_with(args[i], "--simd=")) {
-      value = args[i].substr(7);
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-      continue;
-    }
-    logic::simd::set_active(logic::simd::parse_isa_level(value));
-  }
-}
-
 /// Strip a global `FLAG FILE` / `FLAG=FILE` output-file flag (`--trace-out`,
 /// `--metrics-out`), returning the file path (empty when absent; the last
 /// one wins). Throws on a missing value.
@@ -820,7 +788,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   try {
     std::vector<std::string> stripped = args;
     const std::size_t jobs = extract_jobs_flag(stripped);
-    extract_simd_flag(stripped);
     extract_log_level_flag(stripped);
     const std::string trace_path = extract_file_flag(stripped, "--trace-out");
     const std::string metrics_path =

@@ -25,8 +25,7 @@ std::string version_string() { return std::string("glva ") + GLVA_VERSION; }
 std::string version_report() {
   std::string compiled;
   std::string runnable;
-  for (std::size_t i = 0; i < logic::simd::kIsaLevelCount; ++i) {
-    const auto level = static_cast<logic::simd::IsaLevel>(i);
+  for (const logic::simd::IsaLevel level : logic::simd::kIsaLevels) {
     const char* name = logic::simd::isa_level_name(level);
     if (logic::simd::compiled_kernel_set(level) != nullptr) {
       compiled += compiled.empty() ? name : std::string(" ") + name;

@@ -12,9 +12,8 @@ namespace glva::app {
 [[nodiscard]] std::string version_string();
 
 /// Multi-line report: version, build configuration (build type, compiler,
-/// C++ standard), the SIMD kernel tiers compiled in / runnable on this
-/// CPU, and the active tier. The active-tier line reflects the dispatch
-/// state at call time (so `--simd` / GLVA_SIMD overrides show up).
+/// C++ standard), the SIMD kernel variants compiled in / runnable on
+/// this CPU, and the active one (the widest runnable).
 [[nodiscard]] std::string version_report();
 
 }  // namespace glva::app

@@ -245,7 +245,11 @@ std::size_t and_popcount(const BitStream& a, const BitStream& b) {
   require_same_size(a, b, "and_popcount");
   const std::span<const std::uint64_t> wa = a.words();
   const std::span<const std::uint64_t> wb = b.words();
-  return simd::active().and_popcount_words(wa.data(), wb.data(), wa.size());
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < wa.size(); ++w) {
+    count += static_cast<std::size_t>(std::popcount(wa[w] & wb[w]));
+  }
+  return count;
 }
 
 }  // namespace glva::logic

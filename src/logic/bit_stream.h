@@ -103,8 +103,7 @@ public:
   void set_word(std::size_t w, std::uint64_t value);
 
   /// Number of 1-bits, counted word-parallel through the active SIMD
-  /// kernel set (simd::active(); may throw glva::InvalidArgument on the
-  /// first call when GLVA_SIMD names an unavailable level). O(size()/64).
+  /// kernel set (simd::active()). O(size()/64).
   [[nodiscard]] std::size_t popcount() const;
 
   /// Number of adjacent 0→1 / 1→0 transitions (the paper's O_Var counting

@@ -1,8 +1,5 @@
 #include "logic/combination_index.h"
 
-#include <array>
-
-#include "logic/simd/kernel_set.h"
 #include "util/errors.h"
 
 namespace glva::logic {
@@ -31,25 +28,18 @@ CombinationIndex::CombinationIndex(const std::vector<BitStream>& inputs) {
   // of c is set, else its complement), with input 0 as the MSB — the
   // paper's "input combination 100" notation and the reference
   // CaseAnalyzer's bit order. Selecting plane-vs-complement is one XOR
-  // with an all-ones/all-zero constant hoisted out of the word loop, so
-  // the build is pure load/xor/and/store — the `combine_masks` entry of
-  // the active SIMD kernel set (4/8 words per pass on AVX tiers).
+  // with an all-ones/all-zero constant.
   const std::size_t words = inputs.front().word_count();
-  const simd::KernelSet& kernels = simd::active();
-  std::array<const std::uint64_t*, kMaxInputs> planes{};
-  for (std::size_t i = 0; i < input_count_; ++i) {
-    planes[i] = inputs[i].words().data();
-  }
-
   for (std::size_t c = 0; c < combinations; ++c) {
-    std::array<std::uint64_t, kMaxInputs> invert{};
+    std::vector<std::uint64_t> mask_words(words, ~std::uint64_t{0});
     for (std::size_t i = 0; i < input_count_; ++i) {
       const bool bit_set = ((c >> (input_count_ - 1 - i)) & 1U) != 0;
-      invert[i] = bit_set ? 0 : ~std::uint64_t{0};
+      const std::uint64_t invert = bit_set ? 0 : ~std::uint64_t{0};
+      const std::span<const std::uint64_t> plane = inputs[i].words();
+      for (std::size_t w = 0; w < words; ++w) {
+        mask_words[w] &= plane[w] ^ invert;
+      }
     }
-    std::vector<std::uint64_t> mask_words(words);
-    kernels.combine_masks(planes.data(), invert.data(), input_count_, words,
-                          mask_words.data());
     // Complemented planes can select the zero tail bits of the last input
     // word, which are not samples; from_words masks them off, so counting
     // the adopted stream (still cache-hot) gives the exact Case_I.

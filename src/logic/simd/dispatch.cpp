@@ -1,77 +1,40 @@
-#include <atomic>
-#include <cstdlib>
-
 #include "logic/simd/kernels.h"
 #include "obs/metrics.h"
-#include "util/errors.h"
 
 namespace glva::logic::simd {
 
 namespace {
 
-constexpr const char* kLevelNames[kIsaLevelCount] = {"scalar", "sse2", "avx2",
-                                                     "avx512"};
-
-/// The resolved dispatch table. A benign race is possible on first use
-/// (two threads both resolve the same value); once non-null it only
-/// changes through set_active().
-std::atomic<const KernelSet*> g_active{nullptr};
-
 const KernelSet* compiled(IsaLevel level) noexcept {
   switch (level) {
     case IsaLevel::kScalar: return detail::scalar_kernels();
-    case IsaLevel::kSSE2: return detail::sse2_kernels();
     case IsaLevel::kAVX2: return detail::avx2_kernels();
     case IsaLevel::kAVX512: return detail::avx512_kernels();
   }
   return nullptr;
 }
 
-/// Resolve the default table: GLVA_SIMD override first (an unknown or
-/// unavailable name is an error — a forced CI level must never silently
-/// fall back), else the widest available tier.
-// Mirrors the dispatch decision into the metrics registry so a stats
-// snapshot is self-describing about which kernel tier produced it
-// (0=scalar, 1=sse2, 2=avx2, 3=avx512 — the IsaLevel enum order).
-void publish_tier(const KernelSet& set) {
-  static obs::Gauge& tier = obs::gauge("simd.active_tier");
-  tier.set(static_cast<std::int64_t>(set.level));
-}
-
-const KernelSet* resolve_default() {
-  const char* env = std::getenv("GLVA_SIMD");
-  if (env != nullptr && env[0] != '\0') {
-    const IsaLevel level = parse_isa_level(env);
-    const KernelSet* set = kernel_set(level);
-    if (set == nullptr) {
-      throw InvalidArgument(
-          std::string("GLVA_SIMD=") + env +
-          ": level not available on this host (not compiled in, or the "
-          "CPU lacks the instructions)");
-    }
-    return set;
+/// The widest runnable variant, mirrored into the metrics registry so a
+/// stats snapshot says which variant produced it (0 = scalar, 2 = avx2,
+/// 3 = avx512: the IsaLevel values).
+const KernelSet& resolve() {
+  const KernelSet* widest = detail::scalar_kernels();
+  for (const IsaLevel level : kIsaLevels) {
+    if (const KernelSet* set = kernel_set(level)) widest = set;
   }
-  const KernelSet* best = detail::scalar_kernels();
-  for (std::size_t i = 0; i < kIsaLevelCount; ++i) {
-    if (const KernelSet* set = kernel_set(static_cast<IsaLevel>(i))) {
-      best = set;
-    }
-  }
-  return best;
+  obs::gauge("simd.active_tier").set(static_cast<std::int64_t>(widest->level));
+  return *widest;
 }
 
 }  // namespace
 
 const char* isa_level_name(IsaLevel level) noexcept {
-  return kLevelNames[static_cast<std::size_t>(level)];
-}
-
-IsaLevel parse_isa_level(const std::string& name) {
-  for (std::size_t i = 0; i < kIsaLevelCount; ++i) {
-    if (name == kLevelNames[i]) return static_cast<IsaLevel>(i);
+  switch (level) {
+    case IsaLevel::kScalar: return "scalar";
+    case IsaLevel::kAVX2: return "avx2";
+    case IsaLevel::kAVX512: return "avx512";
   }
-  throw InvalidArgument("unknown SIMD level '" + name +
-                        "' (expected scalar, sse2, avx2, or avx512)");
+  return "unknown";
 }
 
 bool cpu_supports(IsaLevel level) noexcept {
@@ -82,14 +45,12 @@ bool cpu_supports(IsaLevel level) noexcept {
   switch (level) {
     case IsaLevel::kScalar:
       return true;
-    case IsaLevel::kSSE2:
-      return __builtin_cpu_supports("sse2") != 0;
     case IsaLevel::kAVX2:
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("popcnt") != 0;
     case IsaLevel::kAVX512:
-      // Gate on every feature the AVX-512 TU is compiled with, not just
-      // the ones its intrinsics strictly need — the compiler is free to
-      // use any of them anywhere in that TU.
+      // Gate on every feature the AVX-512 TU is compiled with: the
+      // compiler is free to use any of them anywhere in that TU.
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0 &&
@@ -111,36 +72,17 @@ const KernelSet* kernel_set(IsaLevel level) noexcept {
 
 std::vector<const KernelSet*> available_kernel_sets() {
   std::vector<const KernelSet*> sets;
-  for (std::size_t i = 0; i < kIsaLevelCount; ++i) {
-    if (const KernelSet* set = kernel_set(static_cast<IsaLevel>(i))) {
-      sets.push_back(set);
-    }
+  for (const IsaLevel level : kIsaLevels) {
+    if (const KernelSet* set = kernel_set(level)) sets.push_back(set);
   }
   return sets;
 }
 
 const KernelSet& active() {
-  const KernelSet* set = g_active.load(std::memory_order_acquire);
-  if (set == nullptr) {
-    set = resolve_default();
-    g_active.store(set, std::memory_order_release);
-    publish_tier(*set);
-  }
-  return *set;
+  static const KernelSet& set = resolve();
+  return set;
 }
 
 IsaLevel active_level() { return active().level; }
-
-void set_active(IsaLevel level) {
-  const KernelSet* set = kernel_set(level);
-  if (set == nullptr) {
-    throw InvalidArgument(
-        std::string("SIMD level '") + isa_level_name(level) +
-        "' is not available on this host (not compiled in, or the CPU "
-        "lacks the instructions)");
-  }
-  g_active.store(set, std::memory_order_release);
-  publish_tier(*set);
-}
 
 }  // namespace glva::logic::simd

@@ -2,41 +2,35 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-/// Runtime-dispatched SIMD variants of the analysis-stage hot kernels.
+/// The analysis-stage hot kernels, compiled once per instruction set.
 ///
-/// Every kernel in a `KernelSet` is **bit-identical by contract** to the
-/// scalar reference set (`kernel_set(IsaLevel::kScalar)`): same results
-/// for NaN, signed zero, infinities, threshold-equal samples, ragged
-/// tails, and misaligned pointers. The conformance suite
-/// (`tests/test_simd_kernels.cpp`) fuzz-pins each compiled-in variant
-/// against the scalar set; the dispatch choice is therefore a pure
-/// throughput knob — it can never change a verdict, PFoBE, or FOV bit.
+/// Each kernel has one portable definition (`kernels.inc`). That source
+/// is compiled three times: at the baseline ISA, with AVX2 + POPCNT, and
+/// with AVX-512 F/BW/DQ/VL/VPOPCNTDQ. The compiler's vectorizer is what
+/// makes the wider variants wider, so every variant computes the same
+/// integers by construction. The conformance suite
+/// (`tests/test_simd_kernels.cpp`) still holds each runnable variant to
+/// naive oracles.
 ///
-/// Dispatch is resolved once per process from, in priority order:
-///  1. `set_active(level)` — the CLI's global `--simd` flag and tests;
-///  2. the `GLVA_SIMD=scalar|sse2|avx2|avx512` environment variable
-///     (used by CI to force fallback levels through the full test run);
-///  3. CPUID: the widest level both compiled in and supported by the
-///     host (`__builtin_cpu_supports`).
-/// Forcing a level the host cannot run (or that was not compiled in) is
-/// an error, not a silent fallback — a CI job forcing `avx512` on an
-/// AVX2-only runner must fail, not quietly test nothing.
+/// Dispatch happens once per process: the first `active()` call picks
+/// the widest variant that is both compiled in and supported by the CPU
+/// (`__builtin_cpu_supports`). Nothing else can pick: there is no flag,
+/// environment variable or setter.
 ///
-/// See docs/ANALYSIS.md ("The kernel dispatch table") for the layer map
-/// and the checklist for adding a kernel.
+/// See docs/ANALYSIS.md ("The kernel dispatch table") for the callers and
+/// the checklist for adding a kernel.
 namespace glva::logic::simd {
 
-/// Instruction-set tiers, narrowest first. Each tier's kernel set may
-/// reuse entries from a narrower tier when the wider ISA adds nothing
-/// (e.g. kSSE2 shares the scalar popcount — SSE2 has no popcount
-/// instruction).
-enum class IsaLevel : std::uint8_t { kScalar = 0, kSSE2, kAVX2, kAVX512 };
+/// The compiled variants, narrowest first. The values are what the
+/// `simd.active_tier` gauge reports; 1 belonged to a retired SSE2 tier
+/// and stays unused so the gauge keeps its meaning.
+enum class IsaLevel : std::uint8_t { kScalar = 0, kAVX2 = 2, kAVX512 = 3 };
 
-/// Number of IsaLevel values (array sizing).
-inline constexpr std::size_t kIsaLevelCount = 4;
+/// Every level, narrowest first.
+inline constexpr IsaLevel kIsaLevels[] = {IsaLevel::kScalar, IsaLevel::kAVX2,
+                                          IsaLevel::kAVX512};
 
 /// The dispatch table: one function pointer per hot kernel. All word
 /// arrays are `logic::BitStream` words (LSB-first, 64 samples per word);
@@ -44,7 +38,7 @@ inline constexpr std::size_t kIsaLevelCount = 4;
 /// element type's natural alignment.
 struct KernelSet {
   IsaLevel level;
-  const char* name;  ///< "scalar" | "sse2" | "avx2" | "avx512"
+  const char* name;  ///< "scalar" | "avx2" | "avx512"
 
   /// Pack `words * 64` threshold comparisons: out[w] bit j =
   /// (samples[64w + j] >= threshold), NaN comparing false exactly like
@@ -57,10 +51,6 @@ struct KernelSet {
   /// Σ popcount(words[i]) over i in [0, n).
   std::size_t (*popcount_words)(const std::uint64_t* words, std::size_t n);
 
-  /// Σ popcount(a[i] & b[i]) over i in [0, n) — the HIGH_O counter.
-  std::size_t (*and_popcount_words)(const std::uint64_t* a,
-                                    const std::uint64_t* b, std::size_t n);
-
   /// Adjacent-bit transitions across the word array: bit k of word w
   /// counts iff sample 64w+k differs from its predecessor sample. Bit 0
   /// of word 0 has no predecessor and never counts; the last word's
@@ -71,13 +61,6 @@ struct KernelSet {
   std::size_t (*transition_count_words)(const std::uint64_t* words,
                                         std::size_t n,
                                         std::uint64_t tail_mask);
-
-  /// The CombinationIndex mask build: out[w] = AND over i in
-  /// [0, inputs) of (planes[i][w] ^ invert[i]), where invert[i] is 0
-  /// (keep the plane) or ~0 (complement it). Precondition: inputs >= 1.
-  void (*combine_masks)(const std::uint64_t* const* planes,
-                        const std::uint64_t* invert, std::size_t inputs,
-                        std::size_t words, std::uint64_t* out);
 
   // Sliding-window building blocks of the temporal-property monitor
   // (src/props/monitor.cpp, docs/PROPERTIES.md): combine `dst` with a
@@ -105,15 +88,11 @@ struct KernelSet {
                             std::size_t shift, std::uint64_t* dst);
 };
 
-/// Canonical lower-case name of a level ("scalar", "sse2", ...).
+/// Canonical lower-case name of a level ("scalar", "avx2", "avx512").
 [[nodiscard]] const char* isa_level_name(IsaLevel level) noexcept;
 
-/// Parse a level name (the GLVA_SIMD / --simd vocabulary, case-sensitive
-/// lower-case). Throws glva::InvalidArgument on anything else.
-[[nodiscard]] IsaLevel parse_isa_level(const std::string& name);
-
 /// True when the running CPU can execute `level`'s instructions
-/// (kScalar is always true; the x86 tiers use __builtin_cpu_supports
+/// (kScalar is always true; the x86 variants use __builtin_cpu_supports
 /// and are false on non-x86 builds).
 [[nodiscard]] bool cpu_supports(IsaLevel level) noexcept;
 
@@ -128,22 +107,14 @@ struct KernelSet {
 [[nodiscard]] const KernelSet* kernel_set(IsaLevel level) noexcept;
 
 /// Every kernel set runnable on this host, narrowest (scalar) first —
-/// what the conformance suite enumerates.
+/// what the conformance suite and bench_bitstream enumerate.
 [[nodiscard]] std::vector<const KernelSet*> available_kernel_sets();
 
-/// The resolved dispatch table (see the resolution order above). The
-/// first call resolves and caches; throws glva::InvalidArgument when
-/// GLVA_SIMD names an unknown or unavailable level.
+/// The widest runnable kernel set, resolved on the first call and fixed
+/// for the life of the process.
 [[nodiscard]] const KernelSet& active();
 
 /// Convenience: active().level.
 [[nodiscard]] IsaLevel active_level();
-
-/// Force the dispatch table to `level` (the --simd flag and the
-/// forced-level conformance tests). Throws glva::InvalidArgument when
-/// `level` is not available on this host. Not synchronized against
-/// concurrently *running* kernels — call at startup or between runs;
-/// results are bit-identical across levels regardless.
-void set_active(IsaLevel level);
 
 }  // namespace glva::logic::simd

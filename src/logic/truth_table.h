@@ -48,8 +48,6 @@ public:
   [[nodiscard]] std::vector<std::size_t> minterms() const;
 
   /// Number of high combinations (popcount over the packed rows). O(2^N/64).
-  /// Not noexcept: the first popcount in the process resolves the SIMD
-  /// kernel set, which throws on an invalid GLVA_SIMD.
   [[nodiscard]] std::size_t minterm_count() const {
     return outputs_.popcount();
   }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "app/commands.h"
-#include "logic/simd/kernel_set.h"
 #include "obs/metrics.h"
 #include "sbml/reader.h"
 #include "sbol/sbol_io.h"
@@ -294,26 +293,13 @@ TEST(Cli, MetricsOutWritesTheSnapshotWhenTheCommandReturns) {
   EXPECT_EQ(run({"verify", "myers_not", "--metrics-out="}).code, 2);
 }
 
-TEST(Cli, SimdFlagForcesScalarKernelsAndMatchesDefault) {
-  // Restore the process-wide dispatch level on exit so later tests see
-  // the host default again (every tier is bit-identical, but the guard
-  // keeps this test order-independent).
-  const auto saved = glva::logic::simd::active_level();
-  const auto baseline =
-      run({"verify", "myers_not", "--total-time", "200", "--seed", "4"});
-  const auto scalar = run({"verify", "myers_not", "--total-time", "200",
-                           "--seed", "4", "--simd", "scalar"});
-  glva::logic::simd::set_active(saved);
-  EXPECT_EQ(scalar.code, baseline.code);
-  EXPECT_EQ(scalar.out.substr(0, scalar.out.find("timing:")),
-            baseline.out.substr(0, baseline.out.find("timing:")));
-}
-
-TEST(Cli, UnknownSimdLevelIsUsageError) {
-  const auto result =
-      run({"verify", "myers_not", "--total-time", "100", "--simd", "avx1024"});
+TEST(Cli, SimdIsNotAnOption) {
+  // The kernel variant is chosen by CPUID alone; a stale --simd is an
+  // unknown option like any other.
+  const auto result = run({"verify", "myers_not", "--total-time", "100",
+                           "--simd", "scalar"});
   EXPECT_EQ(result.code, 2);
-  EXPECT_NE(result.err.find("unknown SIMD level"), std::string::npos);
+  EXPECT_NE(result.err.find("--simd"), std::string::npos);
 }
 
 TEST(Cli, MissingSubcommandArgumentIsUsageError) {
