@@ -42,9 +42,9 @@ std::string describe(const Token& t) {
     case TokenKind::kEnd:
       return "end of input";
     case TokenKind::kNumber:
-      return "'" + std::to_string(t.value) + "'";
+      return std::string("'").append(std::to_string(t.value)).append("'");
     default:
-      return "'" + t.text + "'";
+      return std::string("'").append(t.text).append("'");
   }
 }
 
@@ -101,28 +101,28 @@ private:
     }
     switch (c) {
       case '!':
-        single(TokenKind::kNot, "!");
+        single(TokenKind::kNot);
         return;
       case '&':
-        single(TokenKind::kAnd, "&");
+        single(TokenKind::kAnd);
         return;
       case '|':
-        single(TokenKind::kOr, "|");
+        single(TokenKind::kOr);
         return;
       case '(':
-        single(TokenKind::kLParen, "(");
+        single(TokenKind::kLParen);
         return;
       case ')':
-        single(TokenKind::kRParen, ")");
+        single(TokenKind::kRParen);
         return;
       case '[':
-        single(TokenKind::kLBracket, "[");
+        single(TokenKind::kLBracket);
         return;
       case ']':
-        single(TokenKind::kRBracket, "]");
+        single(TokenKind::kRBracket);
         return;
       case ',':
-        single(TokenKind::kComma, ",");
+        single(TokenKind::kComma);
         return;
       case '-':
         if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
@@ -137,9 +137,10 @@ private:
     }
   }
 
-  void single(TokenKind kind, const char* text) {
+  /// A one-character token: the character at pos_.
+  void single(TokenKind kind) {
     current_.kind = kind;
-    current_.text = text;
+    current_.text.assign(1, text_[pos_]);
     ++pos_;
   }
 
