@@ -99,9 +99,7 @@ void encode_section(const std::vector<double>& values, std::string& out);
 /// chunked replay that hands the same column vectors back per chunk
 /// decodes with no per-chunk allocations after the first. Throws
 /// glva::StorageError on a truncated payload, an unknown encoding tag, or
-/// an RLE stream whose run lengths do not sum to `count`. (`buffer` is a
-/// view so chunk bytes can come from a read buffer or straight from a
-/// memory-mapped file.)
+/// an RLE stream whose run lengths do not sum to `count`.
 void decode_section_into(std::string_view buffer, std::size_t& offset,
                          std::size_t count, std::vector<double>& values);
 

@@ -2,13 +2,6 @@
 
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GLVA_SPILL_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
-
 #include "store/glvt.h"
 #include "store/memory_sink.h"
 #include "util/csv.h"
@@ -155,37 +148,10 @@ SpillReader::SpillReader(std::string path) : path_(std::move(path)) {
     }
     chunk_offsets_.push_back(chunk_offset);
   }
-
-#if GLVA_SPILL_MMAP
-  // Map the (validated) file read-only: chunk decodes then run zero-copy
-  // out of the page cache. Failure is not an error — reads fall back to
-  // the ifstream path byte for byte.
-  if (file_size > 0) {
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* map = ::mmap(nullptr, static_cast<std::size_t>(file_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);  // the mapping outlives the descriptor
-      if (map != MAP_FAILED) {
-        map_ = static_cast<const char*>(map);
-        map_size_ = static_cast<std::size_t>(file_size);
-      }
-    }
-  }
-#endif
-}
-
-SpillReader::~SpillReader() {
-#if GLVA_SPILL_MMAP
-  if (map_ != nullptr) ::munmap(const_cast<char*>(map_), map_size_);
-#endif
 }
 
 std::string_view SpillReader::file_bytes(std::uint64_t begin,
                                          std::uint64_t end) {
-  if (map_ != nullptr) {
-    return std::string_view(map_ + begin, static_cast<std::size_t>(end - begin));
-  }
   file_.clear();
   file_.seekg(static_cast<std::streamoff>(begin));
   chunk_buffer_.resize(static_cast<std::size_t>(end - begin));

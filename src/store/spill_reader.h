@@ -29,11 +29,8 @@ namespace glva::store {
 /// (`replay`, `read_all`, `read_chunk`, `write_csv`) reject bit-plane
 /// files with glva::StorageError, and vice versa.
 ///
-/// On POSIX targets the file is memory-mapped read-only and chunks decode
-/// straight out of the mapping (no read() copy per chunk — page-cache
-/// pages are the buffer); when mapping is unavailable or fails, chunk
-/// bytes are read into a reused buffer instead. Both paths hand
-/// `glvt::decode_section_into` identical bytes.
+/// Each chunk's bytes are read into one reused buffer and decoded from
+/// there.
 class SpillReader {
 public:
   /// One decoded chunk: `chunk_capacity()` rows for every chunk but the
@@ -52,7 +49,6 @@ public:
   /// cannot hold (more species names than bytes for them, a sample count
   /// that needs a different number of chunks).
   explicit SpillReader(std::string path);
-  ~SpillReader();
 
   SpillReader(const SpillReader&) = delete;
   SpillReader& operator=(const SpillReader&) = delete;
@@ -127,8 +123,8 @@ public:
   void write_csv(std::ostream& out);
 
 private:
-  /// Bytes [begin, end) of the file: a zero-copy view into the mapping
-  /// when one exists, otherwise read into `chunk_buffer_` (reused).
+  /// Bytes [begin, end) of the file, read into `chunk_buffer_` (reused);
+  /// the view is valid until the next call.
   [[nodiscard]] std::string_view file_bytes(std::uint64_t begin,
                                             std::uint64_t end);
 
@@ -158,8 +154,6 @@ private:
   glvt::ContentKind content_kind_ = glvt::ContentKind::kAnalog;
   double threshold_ = 0.0;
   std::string chunk_buffer_;  ///< raw chunk bytes, reused across reads
-  const char* map_ = nullptr;  ///< read-only file mapping (POSIX), or null
-  std::size_t map_size_ = 0;
 };
 
 }  // namespace glva::store
