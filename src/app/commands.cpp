@@ -74,6 +74,58 @@ void write_csv_file(const std::string& path, const std::string& content) {
   f << content;
 }
 
+/// The --csv protocol of the commands that stream rows per replicate
+/// (`ensemble`, `check`). Rows go to `<path>.partial`, opened before the
+/// run so a bad path fails without paying for the simulation, and
+/// commit() renames it onto `path` after a fully successful run. An
+/// uncommitted file is removed on destruction, so a failed run can never
+/// truncate, corrupt or delete an earlier result at `path`, and leaves
+/// no `.partial` behind. An empty path streams nothing.
+class StreamedCsv {
+public:
+  StreamedCsv(std::string path, const std::string& header)
+      : path_(std::move(path)) {
+    if (path_.empty()) return;
+    stream_.open(temp_path(), std::ios::binary);
+    if (!stream_) throw Error("cannot open CSV output file: " + path_);
+    stream_ << header;
+  }
+  ~StreamedCsv() {
+    if (!stream_.is_open()) return;
+    stream_.close();
+    std::error_code ec;
+    std::filesystem::remove(temp_path(), ec);
+  }
+  StreamedCsv(const StreamedCsv&) = delete;
+  StreamedCsv& operator=(const StreamedCsv&) = delete;
+
+  std::ostream& rows() { return stream_; }
+
+  /// Fail fast: a bad stream (disk full, pulled mount) aborts the run at
+  /// the replicate that hit it instead of simulating the rest.
+  void check_rows() const {
+    if (!stream_) throw Error("failed writing CSV output file: " + path_);
+  }
+
+  /// Seal the temp file, then move it onto the target in one step: the
+  /// target is either the previous complete file or the new one.
+  void commit() {
+    stream_.close();
+    std::error_code ec;
+    if (stream_) std::filesystem::rename(temp_path(), path_, ec);
+    if (!stream_ || ec) {
+      std::filesystem::remove(temp_path(), ec);
+      throw Error("failed writing CSV output file: " + path_);
+    }
+  }
+
+private:
+  std::string temp_path() const { return path_ + ".partial"; }
+
+  std::string path_;
+  std::ofstream stream_;
+};
+
 int cmd_list(const std::vector<std::string>& args, std::ostream& out) {
   util::CliParser cli;
   cli.add_flag("two-stage", "report the transcription+translation variant");
@@ -165,44 +217,20 @@ int cmd_export(const std::string& name, const std::vector<std::string>& args,
 // daemon responses are byte-identical to CLI output by construction. Only
 // CLI-side extras (CSV files and their "written to" messages) live here.
 
-int cmd_analyze(const std::string& path, const std::vector<std::string>& args,
-                std::ostream& out) {
+/// `analyze <model.sbml>` and `verify <circuit>`: one extraction, with an
+/// optional per-combination analytics CSV.
+int cmd_extract(Request::Op op, const char* usage, const std::string& target,
+                const std::vector<std::string>& args, std::ostream& out) {
   util::CliParser cli;
-  add_request_options(cli, Request::Op::kAnalyze);
+  add_request_options(cli, op);
   cli.add_option("csv", "", "write per-combination analytics CSV here");
-  std::vector<const char*> argv{"glva-analyze"};
+  std::vector<const char*> argv{"glva"};
   for (const auto& arg : args) argv.push_back(arg.c_str());
   if (!cli.parse(static_cast<int>(argv.size()), argv.data())) {
-    out << cli.help("glva analyze <model.sbml>");
+    out << cli.help(usage);
     return 0;
   }
-  const Request request = request_from_cli(Request::Op::kAnalyze, path, cli);
-  ExecutionHooks hooks;
-  std::string csv_message;
-  const std::string csv_path = cli.get("csv");
-  if (!csv_path.empty()) {
-    hooks.on_extraction = [&](const core::ExtractionResult& extraction) {
-      write_csv_file(csv_path, core::analytics_csv(extraction));
-      csv_message = "analytics CSV written to " + csv_path + "\n";
-    };
-  }
-  const Response response = execute(request, {}, hooks);
-  out << response.body << csv_message;
-  return response.exit_code;
-}
-
-int cmd_verify(const std::string& name, const std::vector<std::string>& args,
-               std::ostream& out) {
-  util::CliParser cli;
-  add_request_options(cli, Request::Op::kVerify);
-  cli.add_option("csv", "", "write per-combination analytics CSV here");
-  std::vector<const char*> argv{"glva-verify"};
-  for (const auto& arg : args) argv.push_back(arg.c_str());
-  if (!cli.parse(static_cast<int>(argv.size()), argv.data())) {
-    out << cli.help("glva verify <circuit>");
-    return 0;
-  }
-  const Request request = request_from_cli(Request::Op::kVerify, name, cli);
+  const Request request = request_from_cli(op, target, cli);
   ExecutionHooks hooks;
   std::string csv_message;
   const std::string csv_path = cli.get("csv");
@@ -237,41 +265,26 @@ int cmd_ensemble(const std::string& name, const std::vector<std::string>& args,
 
   // Per-replicate analytics stream out of the ensemble's ordered commit
   // stream as each replicate finishes — the runner never materializes the
-  // fleet, so --csv / --csv-dir stay O(1) per replicate too. The fleet CSV
-  // streams into a sibling temp file that is renamed onto --csv only after
-  // a fully successful run, so a failed rerun can never truncate, corrupt,
-  // or delete an earlier result file. The temp file is opened (and
-  // directories created) before the run so argument errors surface without
-  // paying for the simulation.
+  // fleet, so --csv / --csv-dir stay O(1) per replicate too. --csv carries
+  // *all* replicates, distinguished by the leading `replicate` index
+  // column (see ensemble_analytics_csv_header).
   const std::string csv_path = cli.get("csv");
   const std::string csv_dir = cli.get("csv-dir");
   const std::string ci_csv_path = cli.get("ci-csv");
-  const std::string csv_temp_path =
-      csv_path.empty() ? std::string() : csv_path + ".partial";
-  std::ofstream csv_stream;
-  if (!csv_path.empty()) {
-    csv_stream.open(csv_temp_path, std::ios::binary);
-    if (!csv_stream) throw Error("cannot open CSV output file: " + csv_path);
-    // --csv carries *all* replicates, distinguished by the leading
-    // `replicate` index column (see ensemble_analytics_csv_header).
-    csv_stream << core::ensemble_analytics_csv_header();
-  }
+  StreamedCsv csv(csv_path, core::ensemble_analytics_csv_header());
   if (!csv_dir.empty()) std::filesystem::create_directories(csv_dir);
 
   ExecutionHooks hooks;
   if (!csv_path.empty() || !csv_dir.empty()) {
     hooks.on_replicate = [&](std::size_t r,
                              const core::ExperimentResult& result) {
-      if (csv_stream.is_open()) {
-        csv_stream << core::ensemble_analytics_csv_rows(r, result.extraction);
-        // Fail fast: a bad stream (disk full, pulled mount) aborts the run
-        // at this commit instead of simulating the rest of the fleet.
-        if (!csv_stream) {
-          throw Error("failed writing CSV output file: " + csv_path);
-        }
+      if (!csv_path.empty()) {
+        csv.rows() << core::ensemble_analytics_csv_rows(r, result.extraction);
+        csv.check_rows();
       }
       if (!csv_dir.empty()) {
-        // --csv-dir splits the same analytics into one file per replicate.
+        // --csv-dir splits the same analytics into one file per replicate;
+        // each is self-contained, so a failed run leaves them in place.
         std::string index = std::to_string(r);
         index.insert(0, index.size() < 3 ? 3 - index.size() : 0, '0');
         write_csv_file(
@@ -292,36 +305,10 @@ int cmd_ensemble(const std::string& name, const std::vector<std::string>& args,
 
   ExecutionContext context;
   context.jobs = jobs;
-  Response response;
-  try {
-    response = execute(request, context, hooks);
-  } catch (...) {
-    // Only the temp file dies with a failed run; an earlier --csv result
-    // file is untouched. Completed replicate_NNN.csv files are each
-    // self-contained and are left in place.
-    if (csv_stream.is_open()) {
-      csv_stream.close();
-      std::error_code ec;
-      std::filesystem::remove(csv_temp_path, ec);
-    }
-    throw;
-  }
+  const Response response = execute(request, context, hooks);
   out << response.body;
-  if (csv_stream.is_open()) {
-    // Seal the temp file, then move it onto the target in one step — the
-    // target is either the previous complete file or the new complete one,
-    // never a truncated half-fleet document.
-    csv_stream.close();
-    std::error_code ec;
-    if (!csv_stream) {
-      std::filesystem::remove(csv_temp_path, ec);
-      throw Error("failed writing CSV output file: " + csv_path);
-    }
-    std::filesystem::rename(csv_temp_path, csv_path, ec);
-    if (ec) {
-      std::filesystem::remove(csv_temp_path, ec);
-      throw Error("failed writing CSV output file: " + csv_path);
-    }
+  if (!csv_path.empty()) {
+    csv.commit();
     out << "analytics CSV (all replicates) written to " << csv_path << "\n";
   }
   // --ci-csv carries the replicate-level confidence intervals.
@@ -398,38 +385,27 @@ int cmd_check(const std::string& name, const std::vector<std::string>& args,
   }
   const Request request = request_from_cli(Request::Op::kCheck, name, cli);
 
-  // Same atomic-rename streaming CSV protocol as cmd_ensemble: rows flow
-  // out of the ordered commit stream per replicate, into a sibling temp
-  // file renamed onto --csv only after a fully successful run.
+  // Rows flow out of the ordered commit stream per replicate.
   const std::string csv_path = cli.get("csv");
-  const std::string csv_temp_path =
-      csv_path.empty() ? std::string() : csv_path + ".partial";
-  std::ofstream csv_stream;
-  if (!csv_path.empty()) {
-    csv_stream.open(csv_temp_path, std::ios::binary);
-    if (!csv_stream) throw Error("cannot open CSV output file: " + csv_path);
-    csv_stream << "replicate,seed,property,combination,samples,satisfied,"
-                  "fraction,first_violation\n";
-  }
-
+  StreamedCsv csv(csv_path,
+                  "replicate,seed,property,combination,samples,satisfied,"
+                  "fraction,first_violation\n");
   ExecutionHooks hooks;
   if (!csv_path.empty()) {
     hooks.on_check_replicate = [&](std::size_t r,
                                    const props::CheckReplicate& replicate) {
+      std::ostream& rows = csv.rows();
       for (const props::PropertyCheck& check : replicate.properties) {
         // Canonical property text contains commas (window bounds), so the
         // field is quoted; the grammar has no quote character.
         const auto row = [&](const std::string& combination,
                              std::size_t samples, std::size_t satisfied,
                              double fraction, std::size_t first_violation) {
-          csv_stream << r << ',' << replicate.seed << ",\"" << check.property
-                     << "\"," << combination << ',' << samples << ','
-                     << satisfied << ',' << util::format_double(fraction, 6)
-                     << ',';
-          if (first_violation != props::kNoViolation) {
-            csv_stream << first_violation;
-          }
-          csv_stream << '\n';
+          rows << r << ',' << replicate.seed << ",\"" << check.property
+               << "\"," << combination << ',' << samples << ',' << satisfied
+               << ',' << util::format_double(fraction, 6) << ',';
+          if (first_violation != props::kNoViolation) rows << first_violation;
+          rows << '\n';
         };
         for (const props::CombinationCheck& comb : check.combinations) {
           row(std::to_string(comb.combination), comb.samples, comb.satisfied,
@@ -438,38 +414,16 @@ int cmd_check(const std::string& name, const std::vector<std::string>& args,
         row("all", check.samples, check.satisfied, check.fraction(),
             check.first_violation);
       }
-      if (!csv_stream) {
-        throw Error("failed writing CSV output file: " + csv_path);
-      }
+      csv.check_rows();
     };
   }
 
   ExecutionContext context;
   context.jobs = jobs;
-  Response response;
-  try {
-    response = execute(request, context, hooks);
-  } catch (...) {
-    if (csv_stream.is_open()) {
-      csv_stream.close();
-      std::error_code ec;
-      std::filesystem::remove(csv_temp_path, ec);
-    }
-    throw;
-  }
+  const Response response = execute(request, context, hooks);
   out << response.body;
-  if (csv_stream.is_open()) {
-    csv_stream.close();
-    std::error_code ec;
-    if (!csv_stream) {
-      std::filesystem::remove(csv_temp_path, ec);
-      throw Error("failed writing CSV output file: " + csv_path);
-    }
-    std::filesystem::rename(csv_temp_path, csv_path, ec);
-    if (ec) {
-      std::filesystem::remove(csv_temp_path, ec);
-      throw Error("failed writing CSV output file: " + csv_path);
-    }
+  if (!csv_path.empty()) {
+    csv.commit();
     out << "check CSV (all replicates) written to " << csv_path << "\n";
   }
   return response.exit_code;
@@ -763,8 +717,14 @@ int dispatch_command(const std::vector<std::string>& stripped,
     const std::vector<std::string> options(rest.begin() + 1, rest.end());
     if (command == "show") return cmd_show(target, out);
     if (command == "export") return cmd_export(target, options, out);
-    if (command == "analyze") return cmd_analyze(target, options, out);
-    if (command == "verify") return cmd_verify(target, options, out);
+    if (command == "analyze") {
+      return cmd_extract(Request::Op::kAnalyze, "glva analyze <model.sbml>",
+                         target, options, out);
+    }
+    if (command == "verify") {
+      return cmd_extract(Request::Op::kVerify, "glva verify <circuit>",
+                         target, options, out);
+    }
     if (command == "ensemble") return cmd_ensemble(target, options, jobs, out);
     if (command == "sweep") return cmd_sweep(target, options, jobs, out);
     if (command == "check") return cmd_check(target, options, jobs, out);

@@ -177,27 +177,41 @@ TEST(Cli, UnknownSinkIsUsageError) {
   EXPECT_NE(result.err.find("mem | spill | digitize"), std::string::npos);
 }
 
-TEST(Cli, EnsembleFailureLeavesNoPartialAnalyticsCsv) {
-  // The analytics CSV streams into a temp file renamed onto --csv only
-  // after a successful run: a replicate failure (unwritable spill
-  // directory) must leave no half-fleet CSV behind — and must not
-  // destroy a result file from an earlier successful run.
-  TempPath csv_path("ensemble_partial.csv");
-  TempPath temp_path("ensemble_partial.csv.partial");
-  {
-    std::ofstream previous(csv_path.str(), std::ios::binary);
-    previous << "previous successful result\n";
+TEST(Cli, FailedRunLeavesNoPartialStreamedCsv) {
+  // The streamed --csv goes to a temp file renamed onto --csv only after
+  // a successful run: a replicate failure (unwritable spill directory)
+  // must leave no partial CSV behind — and must not destroy a result
+  // file from an earlier successful run.
+  struct TestCase {
+    const char* name;
+    std::vector<std::string> args;
+  };
+  const TestCase cases[] = {
+      TestCase{.name = "ensemble",
+               .args = {"ensemble", "0x1", "--replicates", "2",
+                        "--total-time", "200"}},
+      TestCase{.name = "check",
+               .args = {"check", "0x1", "--property", "G(A->F[0,50]GFP)",
+                        "--replicates", "2", "--total-time", "200"}},
+  };
+  for (const TestCase& c : cases) {
+    TempPath csv_path(std::string(c.name) + "_partial.csv");
+    const std::string temp_path = csv_path.str() + ".partial";
+    {
+      std::ofstream previous(csv_path.str(), std::ios::binary);
+      previous << "previous successful result\n";
+    }
+    std::vector<std::string> args = c.args;
+    args.insert(args.end(), {"--csv", csv_path.str(), "--sink", "spill",
+                             "--spill-dir", "/proc/glva-nonexistent/spill"});
+    const auto result = run(args);
+    EXPECT_EQ(result.code, 2) << c.name;
+    EXPECT_FALSE(std::filesystem::exists(temp_path)) << c.name;
+    std::ifstream survivor(csv_path.str(), std::ios::binary);
+    std::string first_line;
+    ASSERT_TRUE(std::getline(survivor, first_line)) << c.name;
+    EXPECT_EQ(first_line, "previous successful result") << c.name;
   }
-  const auto result =
-      run({"ensemble", "0x1", "--replicates", "2", "--total-time", "200",
-           "--csv", csv_path.str(), "--sink", "spill", "--spill-dir",
-           "/proc/glva-nonexistent/spill"});
-  EXPECT_EQ(result.code, 2);
-  EXPECT_FALSE(std::filesystem::exists(temp_path.str()));
-  std::ifstream survivor(csv_path.str(), std::ios::binary);
-  std::string first_line;
-  ASSERT_TRUE(std::getline(survivor, first_line));
-  EXPECT_EQ(first_line, "previous successful result");
 }
 
 TEST(Cli, EnsembleWritesConfidenceCsv) {
