@@ -5,15 +5,6 @@ namespace glva::logic::simd {
 
 namespace {
 
-const KernelSet* compiled(IsaLevel level) noexcept {
-  switch (level) {
-    case IsaLevel::kScalar: return detail::scalar_kernels();
-    case IsaLevel::kAVX2: return detail::avx2_kernels();
-    case IsaLevel::kAVX512: return detail::avx512_kernels();
-  }
-  return nullptr;
-}
-
 /// The widest runnable variant, mirrored into the metrics registry so a
 /// stats snapshot says which variant produced it (0 = scalar, 2 = avx2,
 /// 3 = avx512: the IsaLevel values).
@@ -62,11 +53,16 @@ bool cpu_supports(IsaLevel level) noexcept {
 }
 
 const KernelSet* compiled_kernel_set(IsaLevel level) noexcept {
-  return compiled(level);
+  switch (level) {
+    case IsaLevel::kScalar: return detail::scalar_kernels();
+    case IsaLevel::kAVX2: return detail::avx2_kernels();
+    case IsaLevel::kAVX512: return detail::avx512_kernels();
+  }
+  return nullptr;
 }
 
 const KernelSet* kernel_set(IsaLevel level) noexcept {
-  const KernelSet* set = compiled(level);
+  const KernelSet* set = compiled_kernel_set(level);
   return (set != nullptr && cpu_supports(level)) ? set : nullptr;
 }
 
