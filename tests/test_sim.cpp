@@ -265,6 +265,83 @@ TEST(SsaNextReaction, BirthDeathStationaryMoments) {
   check_birth_death_stationary(SsaMethod::kNextReaction, 0.8);
 }
 
+/// Pearson's statistic of X against Poisson(kb/kd) — the birth–death
+/// stationary law — over 8 fixed seeds of the birth–death model, X sampled
+/// every 50 time units (5 relaxation times, so about independent) after a
+/// 200-unit burn-in: 4000 samples. Bins are merged from the left until each
+/// expects at least 5; the last absorbs the upper tail. Returns the
+/// statistic and its degrees of freedom (bins − 1).
+std::pair<double, std::size_t> birth_death_chi_square(SsaMethod method,
+                                                      double kb) {
+  constexpr double kPoissonMean = 20.0;  // kb / kd of the unmutated model
+  constexpr double kPeriod = 50.0;
+  constexpr std::size_t kSamplesPerSeed = 500;
+  const auto net = crn::ReactionNetwork::compile(birth_death(kb, 0.1));
+  const auto simulator = make_simulator(method);
+  SimulationOptions options;
+  options.sampling_period = kPeriod;
+  std::vector<double> xs;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    options.seed = seed;
+    const Trace trace = simulator->run(
+        net, {}, 200.0 + kPeriod * kSamplesPerSeed, options);
+    const auto& series = trace.series("X");
+    xs.insert(xs.end(), series.end() - kSamplesPerSeed, series.end());
+  }
+  const double n = static_cast<double>(xs.size());
+  // Upper bin edges: bin b holds lo[b] <= X < lo[b + 1].
+  std::vector<std::size_t> lo = {0};
+  std::vector<double> expected = {0.0};
+  for (std::size_t k = 0; k < 200; ++k) {
+    if (expected.back() >= 5.0) {
+      lo.push_back(k);
+      expected.push_back(0.0);
+    }
+    const double kd = static_cast<double>(k);
+    expected.back() += n * std::exp(kd * std::log(kPoissonMean) -
+                                    kPoissonMean - std::lgamma(kd + 1.0));
+  }
+  if (expected.back() < 5.0) {  // a thin upper tail joins its neighbour
+    expected[expected.size() - 2] += expected.back();
+    expected.pop_back();
+    lo.pop_back();
+  }
+  std::vector<double> observed(expected.size(), 0.0);
+  for (const double x : xs) {
+    const auto upper = std::upper_bound(lo.begin(), lo.end(),
+                                        static_cast<std::size_t>(x));
+    observed[static_cast<std::size_t>(upper - lo.begin()) - 1] += 1.0;
+  }
+  double statistic = 0.0;
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    statistic += (observed[b] - expected[b]) * (observed[b] - expected[b]) /
+                 expected[b];
+  }
+  return {statistic, expected.size() - 1};
+}
+
+/// The 0.999 quantile of χ²(df), by the Wilson–Hilferty cube-root
+/// approximation (within 1% for df ≥ 10).
+double chi_square_quantile_999(std::size_t df) {
+  constexpr double kZ999 = 3.090232306167813;  // standard normal 0.999
+  const double d = static_cast<double>(df);
+  const double c = 1.0 - 2.0 / (9.0 * d) + kZ999 * std::sqrt(2.0 / (9.0 * d));
+  return d * c * c * c;
+}
+
+TEST(SsaExact, BirthDeathStationaryDistributionIsPoisson) {
+  for (const auto method : {SsaMethod::kDirect, SsaMethod::kNextReaction}) {
+    const auto [statistic, df] = birth_death_chi_square(method, 2.0);
+    EXPECT_GE(df, 20u);
+    EXPECT_LT(statistic, chi_square_quantile_999(df))
+        << "method " << static_cast<int>(method) << ", df " << df;
+    // Power: a birth rate 5% high, on the same seeds, must fail.
+    const auto [mutated, mutated_df] = birth_death_chi_square(method, 2.1);
+    EXPECT_GT(mutated, chi_square_quantile_999(mutated_df))
+        << "method " << static_cast<int>(method);
+  }
+}
+
 TEST(SsaTauLeap, BirthDeathStationaryMean) {
   // Approximate method: allow a looser tolerance.
   check_birth_death_stationary(SsaMethod::kTauLeap, 1.5);

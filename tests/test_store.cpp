@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -1248,6 +1249,172 @@ TEST(AppendHold, RejectsRowsNarrowerThanTheSinkNeeds) {
   store::DigitizingSink digitize({"B"}, kHoldThreshold);
   digitize.begin({"A", "B"});
   EXPECT_THROW(digitize.append_hold(times, narrow), InvalidArgument);
+}
+
+// ------------------------------------------------------ analog byte oracle
+
+/// The reference section encoder: two passes over per-sample values — count
+/// the runs of bit-identical doubles, then write them as RLE when that is
+/// strictly smaller than the raw layout, else write every value raw. It
+/// shares no code with the sink's encoder.
+void reference_encode_section(const std::vector<double>& values,
+                              std::string& out) {
+  const auto bits_at = [&](std::size_t k) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &values[k], sizeof bits);
+    return bits;
+  };
+  const auto run_end = [&](std::size_t k) {
+    std::size_t j = k + 1;
+    while (j < values.size() && bits_at(j) == bits_at(k)) ++j;
+    return j;
+  };
+  std::size_t runs = 0;
+  for (std::size_t k = 0; k < values.size(); k = run_end(k)) ++runs;
+  const std::size_t raw_bytes = values.size() * sizeof(double);
+  const std::size_t rle_bytes = runs * 12;
+  const bool rle = rle_bytes < raw_bytes;
+  out.push_back(static_cast<char>(rle ? store::glvt::SectionEncoding::kRle
+                                      : store::glvt::SectionEncoding::kRaw));
+  const std::size_t payload_bytes = rle ? rle_bytes : raw_bytes;
+  store::glvt::append_u32(out, static_cast<std::uint32_t>(payload_bytes));
+  for (std::size_t k = 0; k < values.size();) {
+    const std::size_t j = rle ? run_end(k) : k + 1;
+    if (rle) store::glvt::append_u32(out, static_cast<std::uint32_t>(j - k));
+    store::glvt::append_u64(out, bits_at(k));
+    k = j;
+  }
+}
+
+/// The bytes a SpillSink archive of `trace` must hold, written without
+/// SpillSink: FileWriter framing, the grid-or-fallback time section per
+/// chunk, and the reference encoder per species column.
+std::string reference_archive(const sim::Trace& trace, const fs::path& path,
+                              const store::SpillSink::Options& options) {
+  store::glvt::FileWriter file(path.string(), "SpillSink",
+                               {.seed = options.seed,
+                                .sampling_period = options.sampling_period,
+                                .chunk_capacity = options.chunk_samples});
+  file.open(trace.species_names());
+  const std::size_t total = trace.sample_count();
+  const auto slice = [](const std::vector<double>& column, std::size_t first,
+                        std::size_t n) {
+    const auto begin = column.begin() + static_cast<std::ptrdiff_t>(first);
+    return std::vector<double>(begin, begin + static_cast<std::ptrdiff_t>(n));
+  };
+  for (std::size_t first = 0; first < total; first += options.chunk_samples) {
+    const std::size_t n =
+        std::min<std::size_t>(options.chunk_samples, total - first);
+    std::string& chunk = file.begin_chunk(static_cast<std::uint32_t>(n));
+    (void)store::glvt::encode_time_section(slice(trace.times(), first, n),
+                                           first, options.sampling_period,
+                                           chunk);
+    for (std::size_t s = 0; s < trace.species_count(); ++s) {
+      reference_encode_section(slice(trace.series(s), first, n), chunk);
+    }
+    file.write_chunk();
+  }
+  file.finish(total);
+  return read_file_bytes(path);
+}
+
+/// One oracle case: a stream of holds over {A, B, GFP} on the kHoldPeriod
+/// grid, and the sampling period the sink records (a period off that grid
+/// sends every time column through the raw/RLE fallback).
+struct ArchiveCase {
+  const char* name;
+  std::vector<HoldRun> holds;
+  double sampling_period = kHoldPeriod;
+};
+
+/// `n` one-sample holds, each row from `row(k)`.
+template <typename Row>
+std::vector<HoldRun> single_sample_holds(std::size_t n, Row row) {
+  std::vector<HoldRun> holds;
+  for (std::size_t k = 0; k < n; ++k) holds.push_back({1, row(k)});
+  return holds;
+}
+
+std::vector<ArchiveCase> archive_cases() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(nan) | 1u);  // a second quiet-NaN payload
+  const auto k_as = [](std::size_t k) { return static_cast<double>(k); };
+  return {
+      // A: 3 samples in 2 runs, 24 RLE bytes against 24 raw: the tie stays
+      // raw. B is constant (RLE), GFP all-distinct (raw).
+      ArchiveCase{.name = "raw_rle_tie",
+                  .holds = {{1, {1.0, 5.0, 0.0}},
+                            {1, {1.0, 5.0, 1.0}},
+                            {1, {2.0, 5.0, 2.0}}}},
+      // Every A distinct, B constant, GFP alternating, over four full
+      // 64-chunks and a ragged fifth.
+      ArchiveCase{.name = "distinct_constant_alternating",
+                  .holds = single_sample_holds(300,
+                                               [&](std::size_t k) {
+                                                 return std::vector<double>{
+                                                     k_as(k), 7.0,
+                                                     k_as(k % 2)};
+                                               })},
+      // Holds of 60, 10 and 70: the second straddles sample 64, the third
+      // straddles 128, and A, B and GFP keep one value across them.
+      ArchiveCase{.name = "runs_straddle_chunks",
+                  .holds = {{60, {3.0, 9.0, 0.0}},
+                            {10, {3.0, 4.0, 1.0}},
+                            {70, {3.0, 4.0, 1.0}},
+                            {1, {3.0, 4.0, 2.0}}}},
+      // Adjacent NaNs with different payloads and a +0.0 next to a -0.0
+      // stay separate runs; equal NaN payloads merge.
+      ArchiveCase{.name = "nan_payloads_signed_zeros",
+                  .holds = {{5, {nan, 0.0, 1.0}},
+                            {5, {other_nan, -0.0, 1.0}},
+                            {5, {other_nan, 0.0, nan}},
+                            {5, {nan, -0.0, nan}}}},
+      // Zero-length holds around a 250-sample hold (more than three
+      // 64-chunks) and a ragged tail.
+      ArchiveCase{.name = "zero_length_and_long_holds",
+                  .holds = {{0, {1.0, 1.0, 1.0}},
+                            {250, {2.0, 0.0, 30.0}},
+                            {0, {4.0, 4.0, 4.0}},
+                            {7, {2.0, 1.0, 30.0}},
+                            {0, {5.0, 5.0, 5.0}}}},
+      // Times on the kHoldPeriod grid but a recorded period off it: every
+      // time column falls back to the per-value encoder.
+      ArchiveCase{.name = "off_grid_times",
+                  .holds = {{70, {1.0, 2.0, 3.0}}, {3, {4.0, 2.0, 3.0}}},
+                  .sampling_period = 0.3},
+      // The hold fuzz: every hold length at every word offset, specials in
+      // every column.
+      ArchiveCase{.name = "hold_fuzz", .holds = hold_runs(73)},
+  };
+}
+
+TEST(SpillOracle, EveryDeliveryWritesTheReferenceBytes) {
+  constexpr HoldDelivery kDeliveries[] = {
+      HoldDelivery::kBlocks, HoldDelivery::kRows, HoldDelivery::kWholeHolds,
+      HoldDelivery::kMixed};
+  for (const ArchiveCase& test : archive_cases()) {
+    for (const std::uint32_t chunk : {64u, 4096u}) {
+      store::SpillSink::Options options;
+      options.chunk_samples = chunk;
+      options.seed = 5;
+      options.sampling_period = test.sampling_period;
+      store::MemorySink memory;
+      stream_holds(test.holds, memory, HoldDelivery::kBlocks, 0);
+      const std::string expected = reference_archive(
+          memory.trace(), temp_path("oracle_reference.glvt"), options);
+      for (const HoldDelivery delivery : kDeliveries) {
+        const fs::path path = temp_path("oracle_sink.glvt");
+        {
+          store::SpillSink sink(path.string(), options);
+          stream_holds(test.holds, sink, delivery, 77);
+        }
+        EXPECT_TRUE(read_file_bytes(path) == expected)
+            << test.name << ", chunk " << chunk << ", delivery "
+            << static_cast<int>(delivery);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ chunk replay
