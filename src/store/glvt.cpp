@@ -34,6 +34,9 @@ std::uint64_t double_bits(double value) {
   return bits;
 }
 
+/// One `kRle` record: run length (u32), then the value's bits (u64).
+constexpr std::size_t kRunBytes = sizeof(std::uint32_t) + sizeof(double);
+
 double bits_double(std::uint64_t bits) {
   double value;
   std::memcpy(&value, &bits, sizeof value);
@@ -50,35 +53,34 @@ void append_u64(std::string& out, std::uint64_t value) {
 }
 void append_f64(std::string& out, double value) { append_pod(out, value); }
 
-void encode_section(const std::vector<double>& values, std::string& out) {
-  // One pass to size the RLE alternative: runs of bit-identical doubles.
-  std::size_t runs = 0;
-  for (std::size_t k = 0; k < values.size();) {
-    const std::uint64_t bits = double_bits(values[k]);
-    std::size_t j = k + 1;
-    while (j < values.size() && double_bits(values[j]) == bits) ++j;
-    ++runs;
-    k = j;
-  }
-  const std::size_t raw_bytes = values.size() * sizeof(double);
-  const std::size_t rle_bytes = runs * (sizeof(std::uint32_t) + sizeof(double));
-
-  if (rle_bytes < raw_bytes) {
-    out.push_back(static_cast<char>(SectionEncoding::kRle));
-    append_u32(out, static_cast<std::uint32_t>(rle_bytes));
-    for (std::size_t k = 0; k < values.size();) {
-      const std::uint64_t bits = double_bits(values[k]);
-      std::size_t j = k + 1;
-      while (j < values.size() && double_bits(values[j]) == bits) ++j;
-      append_u32(out, static_cast<std::uint32_t>(j - k));
-      append_u64(out, bits);
-      k = j;
+void encode_runs(std::span<const Run> runs, std::size_t samples,
+                 std::string& out) {
+  const std::size_t raw_bytes = samples * sizeof(double);
+  const std::size_t rle_bytes = runs.size() * kRunBytes;
+  const bool rle = rle_bytes < raw_bytes;
+  out.push_back(
+      static_cast<char>(rle ? SectionEncoding::kRle : SectionEncoding::kRaw));
+  append_u32(out, static_cast<std::uint32_t>(rle ? rle_bytes : raw_bytes));
+  const std::size_t start = out.size();
+  out.resize(start + (rle ? rle_bytes : raw_bytes));
+  char* at = out.data() + start;
+  for (const Run& run : runs) {
+    if (rle) {
+      std::memcpy(at, &run.count, sizeof run.count);
+      std::memcpy(at + sizeof run.count, &run.bits, sizeof run.bits);
+      at += kRunBytes;
+    } else {
+      for (std::uint32_t k = 0; k < run.count; ++k, at += sizeof run.bits) {
+        std::memcpy(at, &run.bits, sizeof run.bits);
+      }
     }
-  } else {
-    out.push_back(static_cast<char>(SectionEncoding::kRaw));
-    append_u32(out, static_cast<std::uint32_t>(raw_bytes));
-    for (const double value : values) append_f64(out, value);
   }
+}
+
+void encode_section(std::span<const double> values, std::string& out) {
+  std::vector<Run> runs;
+  for (const double value : values) append_run(runs, value, 1);
+  encode_runs(runs, values.size(), out);
 }
 
 void decode_section_into(std::string_view buffer, std::size_t& offset,

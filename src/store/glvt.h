@@ -1,8 +1,10 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,10 +90,35 @@ void append_u32(std::string& out, std::uint32_t value);
 void append_u64(std::string& out, std::uint64_t value);
 void append_f64(std::string& out, double value);
 
-/// Encode one column section: encoding tag (u8) + payload byte count
-/// (u32) + payload. Picks RLE — repeated (count u32, bits u64) runs —
-/// whenever it is strictly smaller than the raw 8-byte-per-sample layout.
-void encode_section(const std::vector<double>& values, std::string& out);
+/// A run of bit-identical doubles (compared as 8-byte patterns, so NaN
+/// payloads and signed zeros stay apart): the pattern and how many
+/// consecutive samples carry it.
+struct Run {
+  std::uint64_t bits;
+  std::uint32_t count;
+};
+
+/// Fold `count` (> 0) samples of `value` into `runs`: the last run grows
+/// when its bits match, anything else appends a run.
+inline void append_run(std::vector<Run>& runs, double value,
+                       std::uint32_t count) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  if (!runs.empty() && runs.back().bits == bits) {
+    runs.back().count += count;
+  } else {
+    runs.push_back({bits, count});
+  }
+}
+
+/// Encode one column section of `samples` samples from its runs: encoding
+/// tag (u8) + payload byte count (u32) + payload. The runs go out as RLE
+/// (count u32, bits u64) records when strictly smaller than the raw
+/// 8-byte-per-sample layout; otherwise (a tie included) expanded raw.
+void encode_runs(std::span<const Run> runs, std::size_t samples,
+                 std::string& out);
+
+/// Encode one column section: `values` folded into runs, then encode_runs.
+void encode_section(std::span<const double> values, std::string& out);
 
 /// Decode one section of exactly `count` doubles from `buffer` starting at
 /// `offset` into `values`, advancing `offset` past the section. `values` is

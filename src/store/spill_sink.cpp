@@ -18,10 +18,9 @@ SpillSink::SpillSink(std::string path, Options options)
 
 void SpillSink::begin(const std::vector<std::string>& species_names) {
   const std::uint32_t capacity = file_.header().chunk_capacity;
-  series_.assign(species_names.size(), {});
+  runs_.assign(species_names.size(), {});
   times_.clear();
   times_.reserve(capacity);
-  for (auto& series : series_) series.reserve(capacity);
   file_.open(species_names);
 }
 
@@ -31,7 +30,7 @@ void SpillSink::append(double time, const std::vector<double>& values) {
 
 void SpillSink::append_hold(std::span<const double> times,
                             const std::vector<double>& values) {
-  if (values.size() < series_.size()) {
+  if (values.size() < runs_.size()) {
     throw InvalidArgument(
         "SpillSink::append_hold: value row narrower than species list");
   }
@@ -42,8 +41,8 @@ void SpillSink::append_hold(std::span<const double> times,
     const std::size_t take = std::min(room, times.size() - offset);
     times_.insert(times_.end(), times.begin() + offset,
                   times.begin() + offset + take);
-    for (std::size_t i = 0; i < series_.size(); ++i) {
-      series_[i].insert(series_[i].end(), take, values[i]);
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      glvt::append_run(runs_[i], values[i], static_cast<std::uint32_t>(take));
     }
     sample_count_ += take;
     offset += take;
@@ -53,11 +52,11 @@ void SpillSink::append_hold(std::span<const double> times,
 
 void SpillSink::append_block(std::span<const double> times,
                              std::span<const std::span<const double>> series) {
-  if (series.size() < series_.size()) {
+  if (series.size() < runs_.size()) {
     throw InvalidArgument(
         "SpillSink::append_block: block narrower than species list");
   }
-  for (std::size_t i = 0; i < series_.size(); ++i) {
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
     if (series[i].size() != times.size()) {
       throw InvalidArgument(
           "SpillSink::append_block: column length differs from time column");
@@ -70,9 +69,10 @@ void SpillSink::append_block(std::span<const double> times,
     const std::size_t take = std::min(room, times.size() - offset);
     times_.insert(times_.end(), times.begin() + offset,
                   times.begin() + offset + take);
-    for (std::size_t i = 0; i < series_.size(); ++i) {
-      series_[i].insert(series_[i].end(), series[i].begin() + offset,
-                        series[i].begin() + offset + take);
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      for (const double value : series[i].subspan(offset, take)) {
+        glvt::append_run(runs_[i], value, 1);
+      }
     }
     sample_count_ += take;
     offset += take;
@@ -94,10 +94,10 @@ void SpillSink::flush_chunk() {
         1 + sizeof(std::uint32_t) + times_.size() * sizeof(double);
     bytes_saved.add(raw_cost - (chunk.size() - before));
   }
-  for (const auto& series : series_) glvt::encode_section(series, chunk);
+  for (const auto& runs : runs_) glvt::encode_runs(runs, times_.size(), chunk);
   file_.write_chunk();
   times_.clear();
-  for (auto& series : series_) series.clear();
+  for (auto& runs : runs_) runs.clear();
 }
 
 void SpillSink::finish() {

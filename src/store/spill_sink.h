@@ -9,12 +9,16 @@
 
 namespace glva::store {
 
-/// Disk-spilling sink: rows accumulate in a fixed-capacity chunk buffer
+/// Disk-spilling sink: samples accumulate in a fixed-capacity chunk buffer
 /// and are flushed to a `.glvt` file every `chunk_samples` samples, so
 /// resident memory is O(chunk_samples · species) however long the run —
-/// the enabling path for 10^7–10^8-sample realizations. The sink encodes
-/// each chunk's analog sections (a grid or raw/RLE time column, then one
-/// raw/RLE column per species); `glvt::FileWriter` writes them
+/// the enabling path for 10^7–10^8-sample realizations. The buffer keeps
+/// the chunk's times as values and each species column as its runs of
+/// bit-identical values (`glvt::append_run`), so a hold costs one run
+/// update per species however many samples it spans. At each flush the
+/// sink encodes the chunk's analog sections (a grid or raw/RLE time
+/// column, then each species' runs as RLE when that is strictly smaller,
+/// else expanded raw); `glvt::FileWriter` writes them
 /// synchronously and owns the header, the chunk index and the finishing
 /// patch. A file whose sink never reached `finish()` (crash, exception
 /// unwinding) keeps its unfinished-file sentinel, and `SpillReader`
@@ -45,19 +49,19 @@ public:
   /// One-sample `append_hold`.
   void append(double time, const std::vector<double>& values) override;
 
-  /// Buffer a column-wise block, flushing every chunk it fills — one bulk
-  /// copy per column per chunk instead of a row loop, and the file bytes
-  /// are identical to the row path's however the samples were sliced.
+  /// Buffer a column-wise block, flushing every chunk it fills — each
+  /// column folded into its runs; the file bytes are identical to the row
+  /// path's however the samples were sliced.
   /// Throws glva::InvalidArgument on a block narrower than the species
   /// list and glva::StorageError on write failure.
   void append_block(std::span<const double> times,
                     std::span<const std::span<const double>> series) override;
 
   /// Buffer a hold, flushing every chunk it fills — the times copied, each
-  /// species column filled with its one value; the file bytes are
-  /// identical to the row path's. Throws glva::InvalidArgument on a row
-  /// narrower than the species list and glva::StorageError on write
-  /// failure.
+  /// species' last run extended or one run appended (a hold straddling a
+  /// chunk splits there); the file bytes are identical to the row path's.
+  /// Throws glva::InvalidArgument on a row narrower than the species list
+  /// and glva::StorageError on write failure.
   void append_hold(std::span<const double> times,
                    const std::vector<double>& values) override;
 
@@ -79,8 +83,8 @@ private:
   void flush_chunk();
 
   glvt::FileWriter file_;
-  std::vector<double> times_;                ///< buffered chunk column
-  std::vector<std::vector<double>> series_;  ///< [species][buffered sample]
+  std::vector<double> times_;                 ///< buffered chunk column
+  std::vector<std::vector<glvt::Run>> runs_;  ///< [species] chunk's runs
   std::uint64_t sample_count_ = 0;
   bool finished_ = false;
 };

@@ -57,7 +57,7 @@ public:
   /// stochastic trajectory spends between two events. Semantically
   /// identical to `times.size()` `append(time, values)` calls in order —
   /// the base implementation is exactly that loop — but sinks override it
-  /// to fill instead of copy: `SpillSink` fills its chunk columns and
+  /// to fill instead of copy: `SpillSink` extends one run per species and
   /// `DigitizingSink` compares each tracked value once and fills whole
   /// words. This is the path `sim::TraceSampler` drives.
   virtual void append_hold(std::span<const double> times,
