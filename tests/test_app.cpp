@@ -16,6 +16,7 @@
 #include "sbml/reader.h"
 #include "sbol/sbol_io.h"
 #include "serve/protocol.h"
+#include "util/log.h"
 
 namespace {
 
@@ -305,6 +306,94 @@ TEST(Cli, MetricsOutWritesTheSnapshotWhenTheCommandReturns) {
 
   EXPECT_EQ(run({"verify", "myers_not", "--metrics-out"}).code, 2);
   EXPECT_EQ(run({"verify", "myers_not", "--metrics-out="}).code, 2);
+}
+
+TEST(Cli, GlobalFlagsRefuseMissingAndBadValuesInStrippingOrder) {
+  // Global flags are stripped before the command runs, in a fixed order:
+  // --jobs, --log-level, --trace-out, --metrics-out. A flag stripped
+  // earlier takes its value first, so the later flag is left trailing.
+  struct Case {
+    std::vector<std::string> flags;
+    std::string message;
+  };
+  const std::string jobs_bad = "--jobs: expected a non-negative integer, got ";
+  const std::string level_bad =
+      "--log-level: expected error, warn, info, or debug, got ";
+  const std::vector<Case> cases = {
+      {{"--jobs"}, "--jobs: missing value"},
+      {{"--jobs="}, jobs_bad + "''"},
+      {{"--jobs", "-1"}, jobs_bad + "'-1'"},
+      {{"--jobs", "x"}, jobs_bad + "'x'"},
+      {{"--jobs=x"}, jobs_bad + "'x'"},
+      {{"--jobs", "2", "--jobs", "-1"}, jobs_bad + "'-1'"},
+      {{"--log-level"}, "--log-level: missing value"},
+      {{"--log-level="}, level_bad + "''"},
+      {{"--log-level", "loud"}, level_bad + "'loud'"},
+      {{"--log-level=loud"}, level_bad + "'loud'"},
+      {{"--trace-out"}, "--trace-out: missing value"},
+      {{"--trace-out="}, "--trace-out: missing value"},
+      {{"--trace-out", ""}, "--trace-out: missing value"},
+      {{"--metrics-out"}, "--metrics-out: missing value"},
+      {{"--metrics-out="}, "--metrics-out: missing value"},
+      {{"--log-level", "--jobs", "2"}, "--log-level: missing value"},
+      {{"--trace-out", "--log-level", "warn"}, "--trace-out: missing value"},
+      {{"--metrics-out", "--trace-out", "t.json"},
+       "--metrics-out: missing value"},
+  };
+  const glva::util::LogLevel level = glva::util::log_level();
+  for (const Case& c : cases) {
+    std::vector<std::string> args = {"version"};
+    args.insert(args.end(), c.flags.begin(), c.flags.end());
+    const auto result = run(args);
+    SCOPED_TRACE(c.message);
+    EXPECT_EQ(result.code, 2);
+    EXPECT_EQ(result.err, "glva: " + c.message + "\n");
+    EXPECT_TRUE(result.out.empty()) << "the command ran";
+  }
+  glva::util::set_log_level(level);
+}
+
+TEST(Cli, GlobalFlagsGivenTwiceKeepTheLastValue) {
+  for (const char* flag : {"--trace-out", "--metrics-out"}) {
+    SCOPED_TRACE(flag);
+    const TempPath first("twice_a.json");
+    const TempPath second("twice_b.json");
+    const auto result =
+        run({"version", flag, first.str(), flag, second.str()});
+    ASSERT_EQ(result.code, 0) << result.err;
+    EXPECT_FALSE(std::filesystem::exists(first.str()));
+    EXPECT_TRUE(std::filesystem::exists(second.str()));
+  }
+
+  // The log level applies to this command's own diagnostics: the
+  // "metrics written" line is info, so only the info-last order shows it.
+  const glva::util::LogLevel level = glva::util::log_level();
+  const TempPath metrics("twice_level.json");
+  const auto quiet_last = run({"version", "--log-level", "info", "--log-level",
+                               "error", "--metrics-out", metrics.str()});
+  const auto info_last = run({"version", "--log-level=error", "--log-level=info",
+                              "--metrics-out", metrics.str()});
+  glva::util::set_log_level(level);
+  ASSERT_EQ(quiet_last.code, 0) << quiet_last.err;
+  ASSERT_EQ(info_last.code, 0) << info_last.err;
+  EXPECT_EQ(quiet_last.err.find("metrics written"), std::string::npos);
+  EXPECT_NE(info_last.err.find("metrics written"), std::string::npos);
+
+  // --jobs 1 runs replicates inline and --jobs 2 on the pool, which the
+  // pool's task counter shows.
+  if (!glva::obs::metrics_enabled()) GTEST_SKIP() << "metrics compiled out";
+  const auto pool_tasks = [](const std::vector<std::string>& jobs) {
+    std::vector<std::string> args = {"ensemble", "0x1", "--replicates", "2",
+                                     "--total-time", "100", "--seed", "3"};
+    args.insert(args.end(), jobs.begin(), jobs.end());
+    const std::uint64_t before =
+        counter_value(glva::obs::snapshot(), "exec.pool.tasks");
+    const auto result = run(args);
+    EXPECT_LE(result.code, 1) << result.err;  // 1: a replicate mismatched
+    return counter_value(glva::obs::snapshot(), "exec.pool.tasks") - before;
+  };
+  EXPECT_EQ(pool_tasks({"--jobs", "2", "--jobs", "1"}), 0u);
+  EXPECT_GT(pool_tasks({"--jobs=1", "--jobs=2"}), 0u);
 }
 
 TEST(Cli, SimdIsNotAnOption) {
