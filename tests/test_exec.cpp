@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -54,8 +55,14 @@ TEST(ThreadPool, ZeroThreadsClampsToOne) {
 }
 
 TEST(ThreadPool, ThrowingTaskSurfacesOriginalException) {
+  // Declared before the pool, so the pool joins its workers before this
+  // last reference frees the exception. Otherwise a worker may free it
+  // after this thread read it, ordered only by libstdc++'s reference
+  // count, which ThreadSanitizer cannot see in an uninstrumented libstdc++.
+  std::shared_future<void> future;
   exec::ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("boom from job"); });
+  future = pool.submit([] { throw std::runtime_error("boom from job"); })
+               .share();
   try {
     future.get();
     FAIL() << "expected the task's exception";
