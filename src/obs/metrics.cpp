@@ -1,21 +1,35 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
+#include <functional>
+#include <map>
 #include <mutex>
-#include <unordered_map>
 
 namespace glva::obs {
 namespace {
 
+// 1-2-5 ladder: wide enough that one shared shape covers microsecond
+// latencies (sub-us to ~8 min) and millisecond ones alike.
+constexpr std::array<double, kHistogramBuckets - 1> kBoundaries = [] {
+  std::array<double, kHistogramBuckets - 1> b{};
+  double decade = 1.0;
+  for (std::size_t i = 0; i < b.size(); i += 3) {
+    b[i] = decade;
+    b[i + 1] = 2 * decade;
+    b[i + 2] = 5 * decade;
+    decade *= 10.0;
+  }
+  return b;
+}();
+static_assert(kBoundaries.back() == 5e8);
+
+// Shortest decimal that reads back as the same double.
 std::string format_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::string json_escape(const std::string& s) {
@@ -42,60 +56,35 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-const std::vector<double>& boundaries() {
-  // 1-2-5 ladder: wide enough that one shared shape covers microsecond
-  // latencies (sub-us to ~8 min) and millisecond ones alike.
-  static const std::vector<double> kBoundaries = [] {
-    std::vector<double> b;
-    double decade = 1.0;
-    while (decade <= 1e8) {
-      b.push_back(decade);
-      b.push_back(2 * decade);
-      b.push_back(5 * decade);
-      decade *= 10.0;
-    }
-    return b;
-  }();
-  return kBoundaries;
-}
-
 }  // namespace
 
-const std::vector<double>& histogram_boundaries() { return boundaries(); }
+const std::vector<double>& histogram_boundaries() {
+  static const std::vector<double> boundaries(kBoundaries.begin(),
+                                              kBoundaries.end());
+  return boundaries;
+}
 
 #ifndef GLVA_NO_METRICS
 
 namespace {
 
-double bits_to_double(std::uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-std::uint64_t double_to_bits(double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-// Bucket-interpolated quantile over merged bucket counts: the estimate is
-// always inside the bucket that contains the requested rank, which is the
-// bound test_obs pins.
+// Bucket-interpolated quantile over bucket counts: the estimate is always
+// inside the bucket that contains the requested rank, which is the bound
+// test_obs pins.
 double quantile_estimate(const std::vector<std::uint64_t>& buckets,
                          std::uint64_t count, double q) {
   if (count == 0) return 0.0;
-  const auto& bounds = boundaries();
   const double rank = q * static_cast<double>(count);
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     const std::uint64_t in_bucket = buckets[i];
     if (in_bucket == 0) continue;
     if (static_cast<double>(cum + in_bucket) >= rank) {
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
+      const double lower = i == 0 ? 0.0 : kBoundaries[i - 1];
       // The overflow bucket has no upper edge; clamp to its lower edge so
       // the estimate stays a lower bound instead of inventing a tail.
-      const double upper = i < bounds.size() ? bounds[i] : bounds.back();
+      const double upper =
+          i < kBoundaries.size() ? kBoundaries[i] : kBoundaries.back();
       const double frac =
           std::min(1.0, std::max(0.0, (rank - static_cast<double>(cum)) /
                                           static_cast<double>(in_bucket)));
@@ -103,243 +92,101 @@ double quantile_estimate(const std::vector<std::uint64_t>& buckets,
     }
     cum += in_bucket;
   }
-  return bounds.back();
+  return kBoundaries.back();
 }
-
-constexpr std::size_t kMaxSlots = 4096;
-
-struct Shard {
-  std::atomic<std::uint64_t> slots[kMaxSlots] = {};
-};
-
-struct CounterEntry {
-  std::string name;
-  std::size_t slot;
-  Counter handle;
-};
-
-struct GaugeEntry {
-  std::string name;
-  std::atomic<std::int64_t> value{0};
-  Gauge handle;
-  GaugeEntry(std::string n, Gauge h) : name(std::move(n)), handle(h) {}
-};
-
-struct HistogramEntry {
-  std::string name;
-  std::size_t first_slot;  // [count][sum bits][buckets...]
-  Histogram handle;
-};
 
 }  // namespace
 
 class Registry {
  public:
-  Counter& intern_counter(std::string_view name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = counter_index_.find(std::string(name));
-    if (it != counter_index_.end()) return counters_[it->second].handle;
-    const std::size_t slot = allocate_slots(1);
-    counters_.push_back(CounterEntry{std::string(name), slot, Counter(slot)});
-    counter_index_.emplace(std::string(name), counters_.size() - 1);
-    return counters_.back().handle;
+  Counter& counter(std::string_view name) { return intern(counters_, name); }
+  Gauge& gauge(std::string_view name) { return intern(gauges_, name); }
+  Histogram& histogram(std::string_view name) {
+    return intern(histograms_, name);
   }
 
-  Gauge& intern_gauge(std::string_view name) {
+  Snapshot snapshot() {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = gauge_index_.find(std::string(name));
-    if (it != gauge_index_.end()) return gauges_[it->second].handle;
-    gauges_.emplace_back(std::string(name), Gauge(gauges_.size()));
-    gauge_index_.emplace(std::string(name), gauges_.size() - 1);
-    return gauges_.back().handle;
-  }
-
-  Histogram& intern_histogram(std::string_view name) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histogram_index_.find(std::string(name));
-    if (it != histogram_index_.end()) return histograms_[it->second].handle;
-    const std::size_t slots = 2 + boundaries().size() + 1;
-    const std::size_t first = allocate_slots(slots);
-    is_sum_slot_[first + 1] = true;
-    histograms_.push_back(
-        HistogramEntry{std::string(name), first, Histogram(first)});
-    histogram_index_.emplace(std::string(name), histograms_.size() - 1);
-    return histograms_.back().handle;
-  }
-
-  std::atomic<std::int64_t>& gauge_value(std::size_t index) {
-    // Gauge entries live in a deque and are never removed, so the
-    // reference is stable without holding the mutex.
-    return gauges_[index].value;
-  }
-
-  void register_shard(Shard* shard) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shards_.push_back(shard);
-  }
-
-  // Thread exit: fold the dying thread's slots into the retired
-  // accumulator so pool threads that come and go never lose counts.
-  void retire_shard(Shard* shard) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shards_.erase(std::remove(shards_.begin(), shards_.end(), shard),
-                  shards_.end());
-    for (std::size_t i = 0; i < next_slot_; ++i) {
-      const std::uint64_t v = shard->slots[i].load(std::memory_order_relaxed);
-      if (v == 0) continue;
-      if (is_sum_slot_[i]) {
-        retired_[i] =
-            double_to_bits(bits_to_double(retired_[i]) + bits_to_double(v));
-      } else {
-        retired_[i] += v;
-      }
-    }
-    delete shard;
-  }
-
-  Snapshot make_snapshot() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Merge retired + live shards once, then slice per metric.
-    std::vector<std::uint64_t> merged(next_slot_, 0);
-    std::vector<double> merged_sums(next_slot_, 0.0);
-    for (std::size_t i = 0; i < next_slot_; ++i) {
-      if (is_sum_slot_[i]) {
-        merged_sums[i] = bits_to_double(retired_[i]);
-      } else {
-        merged[i] = retired_[i];
-      }
-    }
-    for (Shard* shard : shards_) {
-      for (std::size_t i = 0; i < next_slot_; ++i) {
-        const std::uint64_t v = shard->slots[i].load(std::memory_order_relaxed);
-        if (v == 0) continue;
-        if (is_sum_slot_[i]) {
-          merged_sums[i] += bits_to_double(v);
-        } else {
-          merged[i] += v;
-        }
-      }
-    }
-
     Snapshot snap;
     snap.counters.reserve(counters_.size());
-    for (const CounterEntry& c : counters_) {
-      snap.counters.push_back(CounterSample{c.name, merged[c.slot]});
+    for (const auto& [name, c] : counters_) {
+      snap.counters.push_back(
+          CounterSample{name, c.value_.load(std::memory_order_relaxed)});
     }
     snap.gauges.reserve(gauges_.size());
-    for (const GaugeEntry& g : gauges_) {
+    for (const auto& [name, g] : gauges_) {
       snap.gauges.push_back(
-          GaugeSample{g.name, g.value.load(std::memory_order_relaxed)});
+          GaugeSample{name, g.value_.load(std::memory_order_relaxed)});
     }
-    const std::size_t n_buckets = boundaries().size() + 1;
     snap.histograms.reserve(histograms_.size());
-    for (const HistogramEntry& h : histograms_) {
+    for (const auto& [name, h] : histograms_) {
       HistogramSample s;
-      s.name = h.name;
-      s.count = merged[h.first_slot];
-      s.sum = merged_sums[h.first_slot + 1];
-      s.buckets.assign(merged.begin() + h.first_slot + 2,
-                       merged.begin() + h.first_slot + 2 + n_buckets);
+      s.name = name;
+      s.buckets.reserve(kHistogramBuckets);
+      for (const auto& bucket : h.buckets_) {
+        s.buckets.push_back(bucket.load(std::memory_order_relaxed));
+        s.count += s.buckets.back();
+      }
+      s.sum = h.sum_.load(std::memory_order_relaxed);
       s.p50 = quantile_estimate(s.buckets, s.count, 0.50);
       s.p95 = quantile_estimate(s.buckets, s.count, 0.95);
       s.p99 = quantile_estimate(s.buckets, s.count, 0.99);
       snap.histograms.push_back(std::move(s));
     }
-    auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
-    std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-    std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-    std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
     return snap;
   }
 
  private:
-  std::size_t allocate_slots(std::size_t n) {
-    // Registration is rare (a few dozen metrics, interned once); running
-    // out means a runaway dynamic-name call site, which deserves a crash
-    // in tests rather than silent slot aliasing.
-    const std::size_t first = next_slot_;
-    next_slot_ += n;
-    if (next_slot_ > kMaxSlots) std::abort();
-    return first;
+  // A map node never moves, so an interned handle stays valid, and the
+  // maps iterate in name order.
+  template <typename Instrument>
+  using Instruments = std::map<std::string, Instrument, std::less<>>;
+
+  template <typename Instrument>
+  Instrument& intern(Instruments<Instrument>& instruments,
+                     std::string_view name) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = instruments.find(name);
+    if (it == instruments.end()) {
+      it = instruments.try_emplace(std::string(name)).first;
+    }
+    return it->second;
   }
 
   std::mutex mutex_;
-  std::vector<Shard*> shards_;
-  std::uint64_t retired_[kMaxSlots] = {};
-  bool is_sum_slot_[kMaxSlots] = {};
-  std::size_t next_slot_ = 0;
-  std::deque<CounterEntry> counters_;
-  std::deque<GaugeEntry> gauges_;
-  std::deque<HistogramEntry> histograms_;
-  std::unordered_map<std::string, std::size_t> counter_index_;
-  std::unordered_map<std::string, std::size_t> gauge_index_;
-  std::unordered_map<std::string, std::size_t> histogram_index_;
+  Instruments<Counter> counters_;
+  Instruments<Gauge> gauges_;
+  Instruments<Histogram> histograms_;
 };
 
 namespace {
 
-// Leaked on purpose: detached daemon threads and thread_local shard
-// destructors may touch the registry during process teardown, after
-// function-local statics would have been destroyed.
+// Leaked on purpose: detached daemon connection threads may write
+// metrics during process teardown, after function-local statics would
+// have been destroyed.
 Registry& registry() {
   static Registry* r = new Registry();
   return *r;
 }
 
-// One shard per thread, registered on first metric write and folded into
-// the retired accumulator when the thread exits.
-struct ShardOwner {
-  Shard* shard;
-  ShardOwner() : shard(new Shard()) { registry().register_shard(shard); }
-  ~ShardOwner() { registry().retire_shard(shard); }
-};
-
-Shard& local_shard() {
-  thread_local ShardOwner owner;
-  return *owner.shard;
-}
-
 }  // namespace
 
-void Counter::add(std::uint64_t n) noexcept {
-  local_shard().slots[slot_].fetch_add(n, std::memory_order_relaxed);
-}
-
-void Gauge::set(std::int64_t v) noexcept {
-  registry().gauge_value(index_).store(v, std::memory_order_relaxed);
-}
-
-void Gauge::add(std::int64_t delta) noexcept {
-  registry().gauge_value(index_).fetch_add(delta, std::memory_order_relaxed);
-}
-
 void Histogram::observe(double v) noexcept {
-  const auto& bounds = boundaries();
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-  const std::size_t bucket = static_cast<std::size_t>(it - bounds.begin());
-  Shard& shard = local_shard();
-  shard.slots[first_slot_].fetch_add(1, std::memory_order_relaxed);
-  // The sum slot holds double bits. Only the owner thread writes it, so
-  // the load/store pair cannot race with another writer; the atomic makes
-  // the concurrent snapshot read well-defined.
-  std::atomic<std::uint64_t>& sum_slot = shard.slots[first_slot_ + 1];
-  const double prev = bits_to_double(sum_slot.load(std::memory_order_relaxed));
-  sum_slot.store(double_to_bits(prev + v), std::memory_order_relaxed);
-  shard.slots[first_slot_ + 2 + bucket].fetch_add(1,
-                                                  std::memory_order_relaxed);
+  const auto it = std::lower_bound(kBoundaries.begin(), kBoundaries.end(), v);
+  buckets_[static_cast<std::size_t>(it - kBoundaries.begin())].fetch_add(
+      1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
-Counter& counter(std::string_view name) {
-  return registry().intern_counter(name);
-}
+Counter& counter(std::string_view name) { return registry().counter(name); }
 
-Gauge& gauge(std::string_view name) { return registry().intern_gauge(name); }
+Gauge& gauge(std::string_view name) { return registry().gauge(name); }
 
 Histogram& histogram(std::string_view name) {
-  return registry().intern_histogram(name);
+  return registry().histogram(name);
 }
 
-Snapshot snapshot() { return registry().make_snapshot(); }
+Snapshot snapshot() { return registry().snapshot(); }
 
 #endif  // !GLVA_NO_METRICS
 

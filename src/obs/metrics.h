@@ -3,11 +3,13 @@
 
 // Process-wide metrics registry: named monotonic counters, gauges, and
 // fixed-boundary latency histograms (docs/OBSERVABILITY.md has the full
-// catalog). Counters and histograms write to lock-free per-thread shards
-// (one relaxed fetch_add on the owner thread's slot); readers merge every
-// live shard plus the retired accumulator under the registry mutex, so a
-// snapshot never blocks the hot path. Gauges are single process-global
-// atomics (last-writer-wins set, or add for up/down tracking).
+// catalog). Every instrument owns process-global relaxed atomics: a
+// counter or gauge write is one atomic operation, a histogram observation
+// two (its bucket and its sum). snapshot() reads them under the registry
+// mutex, which writers never take, so a snapshot never blocks the hot
+// path. Call sites batch their writes (once per SSA phase, run, chunk,
+// pool task or daemon request), so threads rarely touch the same
+// instrument at once.
 //
 // Handles returned by counter()/gauge()/histogram() are interned and live
 // for the whole process; call sites cache them once:
@@ -19,7 +21,9 @@
 // no-op and snapshot() with an empty result, so instrumented call sites
 // compile away entirely.
 
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -41,7 +45,7 @@ struct GaugeSample {
 
 struct HistogramSample {
   std::string name;
-  std::uint64_t count = 0;
+  std::uint64_t count = 0;  // the sum of the buckets
   double sum = 0.0;
   double p50 = 0.0;
   double p95 = 0.0;
@@ -57,14 +61,18 @@ struct Snapshot {
   std::vector<HistogramSample> histograms;  // sorted by name
 };
 
+// Buckets per histogram: the 27 boundaries plus the overflow bucket.
+inline constexpr std::size_t kHistogramBuckets = 28;
+
 // Upper bucket boundaries shared by every histogram: a 1-2-5 ladder from
 // 1 to 5e8 in the caller's unit (the name suffix states the unit, e.g.
 // serve.latency_us.verify observes microseconds).
 const std::vector<double>& histogram_boundaries();
 
 // Human-readable snapshot (one metric per line) and a JSON object with
-// "counters" / "gauges" / "histograms" members. Both are deterministic:
-// metrics sorted by name.
+// "counters" / "gauges" / "histograms" members. Both are deterministic
+// (metrics sorted by name) and print every double as its shortest
+// round-trip decimal.
 std::string render_text(const Snapshot& snap);
 std::string render_json(const Snapshot& snap);
 
@@ -117,37 +125,40 @@ class ScopedLatency {
 
 class Counter {
  public:
-  // Owner-thread write into this thread's shard slot; wait-free.
-  void add(std::uint64_t n) noexcept;
+  void add(std::uint64_t n) noexcept {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
   void increment() noexcept { add(1); }
 
  private:
   friend class Registry;
-  explicit Counter(std::size_t slot) : slot_(slot) {}
-  std::size_t slot_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 class Gauge {
  public:
-  void set(std::int64_t v) noexcept;
-  void add(std::int64_t delta) noexcept;
+  void set(std::int64_t v) noexcept {
+    value_.store(v, std::memory_order_relaxed);
+  }
+  void add(std::int64_t delta) noexcept {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
 
  private:
   friend class Registry;
-  explicit Gauge(std::size_t index) : index_(index) {}
-  std::size_t index_;
+  std::atomic<std::int64_t> value_{0};
 };
 
 class Histogram {
  public:
-  // Records v into the matching bucket and accumulates count/sum.
+  // Counts v in the first bucket whose boundary is >= v and adds it to
+  // the sum.
   void observe(double v) noexcept;
 
  private:
   friend class Registry;
-  explicit Histogram(std::size_t first_slot) : first_slot_(first_slot) {}
-  // Shard slot layout: [count][sum as double bits][buckets...].
-  std::size_t first_slot_;
+  std::atomic<std::uint64_t> buckets_[kHistogramBuckets] = {};
+  std::atomic<double> sum_{0.0};
 };
 
 // Interned lookup: the first call for a name registers the metric, later
@@ -156,7 +167,7 @@ Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
-// Merges every live per-thread shard plus the retired accumulator.
+// Reads every instrument, in name order.
 Snapshot snapshot();
 
 inline constexpr bool metrics_enabled() { return true; }

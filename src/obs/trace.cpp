@@ -23,84 +23,26 @@ std::uint64_t now_ns() {
           .count());
 }
 
-struct ThreadBuffer {
-  std::mutex mutex;  // owner appends (uncontended); drain steals
+// Every finished span from every thread, in finishing order. Leaked like
+// the metrics registry: detached daemon connection threads may finish
+// spans during process teardown.
+struct SpanLog {
+  std::mutex mutex;
   std::vector<TraceEvent> events;
+  std::uint32_t threads = 0;  // tids handed out so far
 };
 
-class TraceRegistry {
- public:
-  void attach(ThreadBuffer* buf) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.push_back(buf);
-  }
-
-  // Thread exit: move the dying thread's events into the orphan store so
-  // spans recorded on short-lived pool threads survive until drain.
-  void detach(ThreadBuffer* buf) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.erase(std::remove(buffers_.begin(), buffers_.end(), buf),
-                   buffers_.end());
-    orphaned_.insert(orphaned_.end(), buf->events.begin(), buf->events.end());
-    delete buf;
-  }
-
-  std::vector<TraceEvent> drain() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<TraceEvent> out = std::move(orphaned_);
-    orphaned_.clear();
-    for (ThreadBuffer* buf : buffers_) {
-      std::lock_guard<std::mutex> buf_lock(buf->mutex);
-      out.insert(out.end(), buf->events.begin(), buf->events.end());
-      buf->events.clear();
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent& a, const TraceEvent& b) {
-                if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
-                return a.dur_ns > b.dur_ns;  // parents before children
-              });
-    return out;
-  }
-
-  std::uint32_t next_tid() {
-    return next_tid_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<ThreadBuffer*> buffers_;
-  std::vector<TraceEvent> orphaned_;
-  std::atomic<std::uint32_t> next_tid_{0};
-};
-
-// Leaked like the metrics registry: thread_local destructors on detached
-// threads may run during process teardown.
-TraceRegistry& trace_registry() {
-  static TraceRegistry* r = new TraceRegistry();
-  return *r;
+SpanLog& span_log() {
+  static SpanLog* log = new SpanLog();
+  return *log;
 }
 
 std::atomic<int> g_trace_refcount{0};
 std::atomic<bool> g_trace_enabled{false};
 
-struct BufferOwner {
-  ThreadBuffer* buf;
-  std::uint32_t tid;
-  BufferOwner() : buf(new ThreadBuffer()), tid(trace_registry().next_tid()) {
-    trace_registry().attach(buf);
-  }
-  ~BufferOwner() { trace_registry().detach(buf); }
-};
-
-BufferOwner& local_buffer() {
-  thread_local BufferOwner owner;
-  return owner;
-}
-
 }  // namespace
 
 void trace_begin() {
-  trace_registry();  // construct before any Span can race the first attach
   g_trace_refcount.fetch_add(1, std::memory_order_relaxed);
   g_trace_enabled.store(true, std::memory_order_relaxed);
 }
@@ -115,7 +57,20 @@ bool trace_enabled() noexcept {
   return g_trace_enabled.load(std::memory_order_relaxed);
 }
 
-std::vector<TraceEvent> drain_trace() { return trace_registry().drain(); }
+std::vector<TraceEvent> drain_trace() {
+  std::vector<TraceEvent> out;
+  {
+    SpanLog& log = span_log();
+    std::lock_guard<std::mutex> lock(log.mutex);
+    out.swap(log.events);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
+              return a.dur_ns > b.dur_ns;  // parents before children
+            });
+  return out;
+}
 
 void Span::start(const char* name) noexcept {
   name_ = name;
@@ -125,10 +80,12 @@ void Span::start(const char* name) noexcept {
 
 void Span::finish() noexcept {
   const std::uint64_t end_ns = now_ns();
-  BufferOwner& owner = local_buffer();
-  std::lock_guard<std::mutex> lock(owner.buf->mutex);
-  owner.buf->events.push_back(
-      TraceEvent{name_, start_ns_, end_ns - start_ns_, owner.tid});
+  // A thread's tid is its rank among the threads that finished a span.
+  thread_local std::uint32_t tid = 0;
+  SpanLog& log = span_log();
+  std::lock_guard<std::mutex> lock(log.mutex);
+  if (tid == 0) tid = ++log.threads;
+  log.events.push_back(TraceEvent{name_, start_ns_, end_ns - start_ns_, tid});
 }
 
 std::string render_chrome_trace(const std::vector<TraceEvent>& events) {

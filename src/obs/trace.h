@@ -9,12 +9,13 @@
 //     ...
 //   }
 //
-// Spans are RAII scopes recorded on destruction into a per-thread buffer
-// (one uncontended mutex lock per completed span), so events from any
-// number of worker threads interleave without a global hot lock. Tracing
-// is off by default: a disabled GLVA_SPAN costs one relaxed atomic load.
+// Spans are RAII scopes appended on destruction to one process-wide span
+// log under its mutex. Spans mark stage boundaries (a few per replicate),
+// so that lock is rarely contended. Each thread's tid is its rank among
+// the threads that finished a span. Tracing is off by default: a
+// disabled GLVA_SPAN costs one relaxed atomic load.
 // trace_begin()/trace_end() nest; drain_trace() moves out everything
-// buffered so far. Timestamps are nanoseconds from a process-stable
+// logged so far. Timestamps are nanoseconds from a process-stable
 // steady-clock epoch, emitted as fractional microseconds in the JSON.
 //
 // Unlike the metrics registry, the tracer has no GLVA_NO_METRICS variant:
@@ -39,7 +40,7 @@ void trace_begin();
 void trace_end();
 bool trace_enabled() noexcept;
 
-// Moves out every buffered event (all threads), sorted by (ts, longest
+// Moves out every logged event (all threads), sorted by (ts, longest
 // duration first) so parents precede their children.
 std::vector<TraceEvent> drain_trace();
 

@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -181,65 +180,6 @@ obs::Histogram& latency_histogram_for(const std::string& op) {
   }
   static obs::Histogram& h = obs::histogram("serve.latency_us.other");
   return h;
-}
-
-/// JSON number token for a double: fixed three decimals — enough for
-/// microsecond quantiles, always a valid JSON token.
-Json json_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  return Json::number_token(buffer);
-}
-
-/// The `stats` op body: the process-wide metrics snapshot as one JSON
-/// object. Sections are always present (empty under GLVA_NO_METRICS) so
-/// clients can rely on the schema.
-Json stats_json() {
-  const obs::Snapshot snap = obs::snapshot();
-  std::vector<std::pair<std::string, Json>> counters;
-  counters.reserve(snap.counters.size());
-  for (const obs::CounterSample& c : snap.counters) {
-    counters.emplace_back(c.name, Json::of_u64(c.value));
-  }
-  std::vector<std::pair<std::string, Json>> gauges;
-  gauges.reserve(snap.gauges.size());
-  for (const obs::GaugeSample& g : snap.gauges) {
-    gauges.emplace_back(g.name, Json::number_token(std::to_string(g.value)));
-  }
-  std::vector<std::pair<std::string, Json>> histograms;
-  histograms.reserve(snap.histograms.size());
-  for (const obs::HistogramSample& h : snap.histograms) {
-    histograms.emplace_back(
-        h.name, Json::object_of({{"count", Json::of_u64(h.count)},
-                                 {"sum", json_double(h.sum)},
-                                 {"p50", json_double(h.p50)},
-                                 {"p95", json_double(h.p95)},
-                                 {"p99", json_double(h.p99)}}));
-  }
-  return Json::object_of({
-      {"metrics_enabled", Json::of(obs::metrics_enabled())},
-      {"counters", Json::object_of(std::move(counters))},
-      {"gauges", Json::object_of(std::move(gauges))},
-      {"histograms", Json::object_of(std::move(histograms))},
-  });
-}
-
-/// Trace events as a Chrome trace-event array (the same shape
-/// obs::render_chrome_trace writes, but as a Json tree for embedding in
-/// a response).
-Json trace_events_json(const std::vector<obs::TraceEvent>& events) {
-  std::vector<Json> items;
-  items.reserve(events.size());
-  for (const obs::TraceEvent& event : events) {
-    items.push_back(Json::object_of(
-        {{"name", Json::of(event.name)},
-         {"ph", Json::of("X")},
-         {"ts", json_double(static_cast<double>(event.ts_ns) / 1000.0)},
-         {"dur", json_double(static_cast<double>(event.dur_ns) / 1000.0)},
-         {"pid", Json::number_token("1")},
-         {"tid", Json::of_u64(event.tid)}}));
-  }
-  return Json::array_of(std::move(items));
 }
 
 ErrorKind kind_of(const Error& error) {
@@ -423,7 +363,13 @@ std::string Server::dispatch(const std::string& payload) {
       return render_result_response(wire.id, status_json());
     }
     if (wire.op == "stats") {
-      return render_result_response(wire.id, stats_json());
+      // The document --metrics-out writes, led by metrics_enabled; its
+      // sections are present (empty) under GLVA_NO_METRICS too.
+      Json stats = parse_json(obs::render_json(obs::snapshot()));
+      stats.object.insert(
+          stats.object.begin(),
+          {"metrics_enabled", Json::of(obs::metrics_enabled())});
+      return render_result_response(wire.id, std::move(stats));
     }
     if (wire.op == "version") {
       return render_ok_response(wire.id, 0, app::version_report(),
@@ -543,7 +489,8 @@ std::string Server::handle_analysis(const WireRequest& wire,
       }
       if (wire.trace) {
         obs::trace_end();
-        trace_events = trace_events_json(obs::drain_trace());
+        trace_events =
+            parse_json(obs::render_chrome_trace(obs::drain_trace()));
         have_trace = ok;
       }
     }

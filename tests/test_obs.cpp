@@ -1,20 +1,24 @@
-// Unit tests for the observability layer (src/obs/): metrics registry
-// shard-merge correctness under multithreaded load, histogram quantile
-// bounds, snapshot rendering, the span tracer's Chrome trace-event JSON,
-// and the --trace-out CLI round trip.
+// Unit tests for the observability layer (src/obs/): the metrics
+// registry's totals under concurrent writers and a concurrent reader,
+// histogram quantile bounds, snapshot rendering and its number round trip,
+// the span tracer's Chrome trace-event JSON, and the --trace-out CLI
+// round trip.
 //
 // Metric names are process-global and the registry is never reset, so
-// every test uses its own "test.obs.<case>.*" names and asserts exact
-// totals only on those.
+// every test draws fresh "test.obs.<case>.<run>." names from run_prefix()
+// and asserts exact totals only on those; the suite passes under
+// --gtest_repeat.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +33,13 @@
 namespace {
 
 using namespace glva;
+
+/// "test.obs.<name>.<n>." with n new on every call, so each run of a
+/// test names its own instruments.
+std::string run_prefix(const std::string& name) {
+  static std::atomic<int> runs{0};
+  return "test.obs." + name + "." + std::to_string(runs++) + ".";
+}
 
 std::uint64_t counter_value(const obs::Snapshot& snap,
                             const std::string& name) {
@@ -57,62 +68,126 @@ const obs::HistogramSample* find_histogram(const obs::Snapshot& snap,
 
 // ------------------------------------------------------------- registry
 
-TEST(Metrics, CounterMergesRetiredAndLiveShards) {
+TEST(Metrics, CounterSumsExitedAndLiveThreads) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 10000;
+  const std::string p = run_prefix("merge");
 
-  // Worker threads exit before the snapshot, so their shards are retired
-  // into the registry's accumulator; the main thread's shard stays live.
+  // Worker threads exit before the snapshot; the main thread, which also
+  // writes, stays alive.
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t] {
-      obs::Counter& c = obs::counter("test.obs.merge.count");
-      obs::Counter& weighted = obs::counter("test.obs.merge.weighted");
+    workers.emplace_back([t, &p] {
+      obs::Counter& c = obs::counter(p + "count");
+      obs::Counter& weighted = obs::counter(p + "weighted");
       for (std::uint64_t i = 0; i < kPerThread; ++i) c.increment();
       weighted.add(static_cast<std::uint64_t>(t) + 1);  // 1+2+...+8 = 36
     });
   }
   for (auto& worker : workers) worker.join();
-  obs::counter("test.obs.merge.count").add(5);  // live main-thread shard
+  obs::counter(p + "count").add(5);  // main thread
 
   const obs::Snapshot snap = obs::snapshot();
-  EXPECT_EQ(counter_value(snap, "test.obs.merge.count"),
-            kThreads * kPerThread + 5);
-  EXPECT_EQ(counter_value(snap, "test.obs.merge.weighted"), 36u);
+  EXPECT_EQ(counter_value(snap, p + "count"), kThreads * kPerThread + 5);
+  EXPECT_EQ(counter_value(snap, p + "weighted"), 36u);
+}
+
+TEST(Metrics, SnapshotsDuringWritesNeverGoBackAndEndExact) {
+  if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
+
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kAdds = 100000;
+  constexpr std::uint64_t kObservations = 10000;
+  const std::string p = run_prefix("live");
+  obs::Counter& counter = obs::counter(p + "count");
+  obs::Histogram& histogram = obs::histogram(p + "hist");
+
+  const auto check_histogram = [&](const obs::Snapshot& snap) {
+    const obs::HistogramSample* h = find_histogram(snap, p + "hist");
+    if (h == nullptr) {
+      ADD_FAILURE() << "histogram not found";
+      return std::uint64_t{0};
+    }
+    EXPECT_EQ(h->buckets.size(), obs::kHistogramBuckets);
+    EXPECT_EQ(h->count, std::accumulate(h->buckets.begin(), h->buckets.end(),
+                                        std::uint64_t{0}));
+    return h->count;
+  };
+
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) {
+        counter.increment();
+        if (i % (kAdds / kObservations) == 0) {
+          histogram.observe(static_cast<double>(t * 100 + 1));
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t last_count = 0;
+  std::uint64_t last_observations = 0;
+  int reads = 0;
+  while (running.load() > 0 || reads == 0) {
+    const obs::Snapshot snap = obs::snapshot();
+    const std::uint64_t count = counter_value(snap, p + "count");
+    const std::uint64_t observations = check_histogram(snap);
+    EXPECT_GE(count, last_count);
+    EXPECT_GE(observations, last_observations);
+    last_count = count;
+    last_observations = observations;
+    ++reads;
+  }
+  for (auto& writer : writers) writer.join();
+
+  const obs::Snapshot snap = obs::snapshot();
+  EXPECT_EQ(counter_value(snap, p + "count"), kWriters * kAdds);
+  EXPECT_EQ(check_histogram(snap), kWriters * kObservations);
 }
 
 TEST(Metrics, SameNameReturnsSameHandle) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
-  obs::Counter& a = obs::counter("test.obs.alias.counter");
-  obs::Counter& b = obs::counter("test.obs.alias.counter");
+  const std::string name = run_prefix("alias") + "counter";
+  obs::Counter& a = obs::counter(name);
+  obs::Counter& b = obs::counter(name);
   EXPECT_EQ(&a, &b);
   a.increment();
   b.add(2);
-  EXPECT_EQ(counter_value(obs::snapshot(), "test.obs.alias.counter"), 3u);
+  EXPECT_EQ(counter_value(obs::snapshot(), name), 3u);
 }
 
 TEST(Metrics, GaugeSetAndAdd) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
-  obs::Gauge& g = obs::gauge("test.obs.gauge.depth");
+  const std::string name = run_prefix("gauge") + "depth";
+  obs::Gauge& g = obs::gauge(name);
   g.set(42);
-  EXPECT_EQ(gauge_value(obs::snapshot(), "test.obs.gauge.depth"), 42);
+  EXPECT_EQ(gauge_value(obs::snapshot(), name), 42);
   g.add(-50);
-  EXPECT_EQ(gauge_value(obs::snapshot(), "test.obs.gauge.depth"), -8);
+  EXPECT_EQ(gauge_value(obs::snapshot(), name), -8);
 }
 
 TEST(Metrics, SnapshotSortedByName) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
-  obs::counter("test.obs.sort.zz").increment();
-  obs::counter("test.obs.sort.aa").increment();
+  const std::string p = run_prefix("sort");
+  obs::counter(p + "zz").increment();
+  obs::counter(p + "aa").increment();
+  obs::gauge(p + "zz").set(1);
+  obs::gauge(p + "aa").set(1);
   const obs::Snapshot snap = obs::snapshot();
   for (std::size_t i = 1; i < snap.counters.size(); ++i) {
     EXPECT_LT(snap.counters[i - 1].name, snap.counters[i].name);
+  }
+  for (std::size_t i = 1; i < snap.gauges.size(); ++i) {
+    EXPECT_LT(snap.gauges[i - 1].name, snap.gauges[i].name);
   }
   for (std::size_t i = 1; i < snap.histograms.size(); ++i) {
     EXPECT_LT(snap.histograms[i - 1].name, snap.histograms[i].name);
@@ -126,12 +201,12 @@ TEST(Metrics, HistogramQuantilesStayInsideTrueBucket) {
 
   // All observations land in one bucket of the 1-2-5 ladder, so every
   // quantile estimate must fall inside that bucket's bounds.
-  obs::Histogram& h = obs::histogram("test.obs.hist.single");
+  const std::string name = run_prefix("hist") + "single";
+  obs::Histogram& h = obs::histogram(name);
   for (int i = 0; i < 100; ++i) h.observe(3.0);  // bucket (2, 5]
 
   const obs::Snapshot snap = obs::snapshot();
-  const obs::HistogramSample* sample =
-      find_histogram(snap, "test.obs.hist.single");
+  const obs::HistogramSample* sample = find_histogram(snap, name);
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count, 100u);
   EXPECT_DOUBLE_EQ(sample->sum, 300.0);
@@ -146,13 +221,13 @@ TEST(Metrics, HistogramQuantilesTrackMixedDistribution) {
 
   // 90 values in (5, 10], 10 values in (100, 200]: the true p50 sits in
   // the low bucket and the true p95/p99 in the high one.
-  obs::Histogram& h = obs::histogram("test.obs.hist.mixed");
+  const std::string name = run_prefix("hist") + "mixed";
+  obs::Histogram& h = obs::histogram(name);
   for (int i = 0; i < 90; ++i) h.observe(7.0);
   for (int i = 0; i < 10; ++i) h.observe(150.0);
 
   const obs::Snapshot snap = obs::snapshot();
-  const obs::HistogramSample* sample =
-      find_histogram(snap, "test.obs.hist.mixed");
+  const obs::HistogramSample* sample = find_histogram(snap, name);
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count, 100u);
   EXPECT_DOUBLE_EQ(sample->sum, 90 * 7.0 + 10 * 150.0);
@@ -167,15 +242,16 @@ TEST(Metrics, HistogramQuantilesTrackMixedDistribution) {
 TEST(Metrics, HistogramOverflowClampsToTopBoundary) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
-  obs::Histogram& h = obs::histogram("test.obs.hist.overflow");
+  const std::string name = run_prefix("hist") + "overflow";
+  obs::Histogram& h = obs::histogram(name);
   h.observe(1e12);  // far beyond the last finite boundary
   h.observe(1e12);
 
   const obs::Snapshot snap = obs::snapshot();
-  const obs::HistogramSample* sample =
-      find_histogram(snap, "test.obs.hist.overflow");
+  const obs::HistogramSample* sample = find_histogram(snap, name);
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count, 2u);
+  EXPECT_EQ(sample->buckets.back(), 2u);
   EXPECT_DOUBLE_EQ(sample->sum, 2e12);
   const double top = obs::histogram_boundaries().back();
   EXPECT_DOUBLE_EQ(sample->p50, top);
@@ -187,19 +263,19 @@ TEST(Metrics, HistogramMergesAcrossThreads) {
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1000;
+  const std::string name = run_prefix("hist") + "threads";
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([] {
-      obs::Histogram& h = obs::histogram("test.obs.hist.threads");
+    workers.emplace_back([&name] {
+      obs::Histogram& h = obs::histogram(name);
       for (int i = 0; i < kPerThread; ++i) h.observe(7.0);
     });
   }
   for (auto& worker : workers) worker.join();
 
   const obs::Snapshot snap = obs::snapshot();
-  const obs::HistogramSample* sample =
-      find_histogram(snap, "test.obs.hist.threads");
+  const obs::HistogramSample* sample = find_histogram(snap, name);
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
@@ -211,13 +287,13 @@ TEST(Metrics, HistogramMergesAcrossThreads) {
 TEST(Metrics, ScopedLatencyObservesOnDestruction) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
-  obs::Histogram& h = obs::histogram("test.obs.hist.scoped");
+  const std::string name = run_prefix("hist") + "scoped";
+  obs::Histogram& h = obs::histogram(name);
   {
     const obs::ScopedLatency latency(h);
   }
   const obs::Snapshot snap = obs::snapshot();  // outlives `sample`
-  const obs::HistogramSample* sample =
-      find_histogram(snap, "test.obs.hist.scoped");
+  const obs::HistogramSample* sample = find_histogram(snap, name);
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count, 1u);
 }
@@ -227,41 +303,71 @@ TEST(Metrics, ScopedLatencyObservesOnDestruction) {
 TEST(Metrics, RenderTextListsEveryKind) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
-  obs::counter("test.obs.render.counter").add(7);
-  obs::gauge("test.obs.render.gauge").set(-3);
-  obs::histogram("test.obs.render.hist").observe(1.5);
+  const std::string p = run_prefix("render");
+  obs::counter(p + "counter").add(7);
+  obs::gauge(p + "gauge").set(-3);
+  obs::histogram(p + "hist").observe(1.5);
 
   const std::string text = obs::render_text(obs::snapshot());
-  EXPECT_NE(text.find("counter   test.obs.render.counter 7"),
-            std::string::npos);
-  EXPECT_NE(text.find("gauge     test.obs.render.gauge -3"),
-            std::string::npos);
-  EXPECT_NE(text.find("histogram test.obs.render.hist count=1"),
-            std::string::npos);
+  EXPECT_NE(text.find("counter   " + p + "counter 7\n"), std::string::npos);
+  EXPECT_NE(text.find("gauge     " + p + "gauge -3\n"), std::string::npos);
+  EXPECT_NE(text.find("histogram " + p + "hist count=1 sum=1.5 p50=1.5 p95="),
+            std::string::npos)
+      << text;
 }
 
 TEST(Metrics, RenderJsonParsesAndCarriesValues) {
   if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
 
-  obs::counter("test.obs.json.counter").add(11);
-  obs::histogram("test.obs.json.hist").observe(3.0);
+  const std::string p = run_prefix("json");
+  obs::counter(p + "counter").add(11);
+  obs::histogram(p + "hist").observe(3.0);
 
   const serve::Json doc = serve::parse_json(obs::render_json(obs::snapshot()));
   ASSERT_TRUE(doc.is_object());
   const serve::Json* counters = doc.find("counters");
   ASSERT_NE(counters, nullptr);
   ASSERT_TRUE(counters->is_object());
-  const serve::Json* value = counters->find("test.obs.json.counter");
+  const serve::Json* value = counters->find(p + "counter");
   ASSERT_NE(value, nullptr);
   EXPECT_EQ(value->number, "11");
 
   const serve::Json* histograms = doc.find("histograms");
   ASSERT_NE(histograms, nullptr);
-  const serve::Json* hist = histograms->find("test.obs.json.hist");
+  const serve::Json* hist = histograms->find(p + "hist");
   ASSERT_NE(hist, nullptr);
   for (const char* field : {"count", "sum", "p50", "p95", "p99"}) {
     EXPECT_NE(hist->find(field), nullptr) << field;
   }
+  const serve::Json* buckets = hist->find("buckets");
+  ASSERT_NE(buckets, nullptr);
+  ASSERT_TRUE(buckets->is_array());
+  ASSERT_EQ(buckets->array.size(), obs::kHistogramBuckets);
+  EXPECT_EQ(buckets->array[2].number, "1");  // 3.0 lands in (2, 5]
+}
+
+TEST(Metrics, RenderedSumsReadBackBitForBit) {
+  if (!obs::metrics_enabled()) GTEST_SKIP() << "GLVA_NO_METRICS build";
+
+  const std::string name = run_prefix("roundtrip") + "hist";
+  obs::Histogram& h = obs::histogram(name);
+  for (const double v : {0.1, 0.2, 1e7 + 0.123}) h.observe(v);
+  const obs::Snapshot snap = obs::snapshot();
+  const obs::HistogramSample* sample = find_histogram(snap, name);
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->sum, (0.1 + 0.2) + (1e7 + 0.123));
+
+  const serve::Json doc = serve::parse_json(obs::render_json(snap));
+  const std::string json_sum =
+      doc.find("histograms")->find(name)->find("sum")->number;
+  EXPECT_EQ(std::strtod(json_sum.c_str(), nullptr), sample->sum) << json_sum;
+
+  const std::string text = obs::render_text(snap);
+  const std::string key = name + " count=3 sum=";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::size_t begin = at + key.size();
+  EXPECT_EQ(text.substr(begin, text.find(' ', begin) - begin), json_sum);
 }
 
 // --------------------------------------------------------------- tracer

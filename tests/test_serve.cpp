@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -654,6 +655,65 @@ TEST(ServeEndToEnd, StatsOpReturnsMetricsSnapshot) {
   } else {
     EXPECT_FALSE(enabled->boolean);
   }
+}
+
+TEST(ServeEndToEnd, StatsOpServesTheMetricsOutDocument) {
+  // Test-local instruments carry exact values; every other instrument is
+  // process-wide, so it is compared by name, kind and buckets only.
+  static int runs = 0;
+  const std::string p = "test.serve.stats." + std::to_string(runs++) + ".";
+  glva::obs::counter(p + "counter").add(5);
+  glva::obs::Histogram& hist = glva::obs::histogram(p + "hist");
+  for (const double v : {0.1, 0.2, 1e7 + 0.123}) hist.observe(v);
+
+  Server server(small_server_options());
+  const std::string request =
+      Json::object_of({{"op", Json::of("stats")}}).dump();
+  // The first stats op registers the op's own instruments. The document
+  // is then read between two stats ops: each observes its latency after
+  // rendering, so no histogram moves between the document and the reply.
+  static_cast<void>(server.dispatch(request));
+  const Json document =
+      glva::serve::parse_json(glva::obs::render_json(glva::obs::snapshot()));
+  const Json stats = glva::serve::parse_json(server.dispatch(request));
+  const Json* result = stats.find("result");
+  ASSERT_NE(result, nullptr);
+  ASSERT_TRUE(result->is_object());
+  ASSERT_EQ(result->object.size(), document.object.size() + 1);
+  EXPECT_EQ(result->object.front().first, "metrics_enabled");
+  EXPECT_EQ(result->object.front().second.boolean,
+            glva::obs::metrics_enabled());
+
+  for (std::size_t i = 0; i < document.object.size(); ++i) {
+    const auto& [section, want] = document.object[i];
+    const auto& [got_section, got] = result->object[i + 1];
+    SCOPED_TRACE(section);
+    EXPECT_EQ(got_section, section);
+    ASSERT_EQ(got.object.size(), want.object.size());
+    for (std::size_t j = 0; j < want.object.size(); ++j) {
+      const auto& [name, want_value] = want.object[j];
+      const auto& [got_name, got_value] = got.object[j];
+      EXPECT_EQ(got_name, name);
+      EXPECT_EQ(got_value.kind, want_value.kind) << name;
+      if (const Json* buckets = want_value.find("buckets")) {
+        const Json* got_buckets = got_value.find("buckets");
+        ASSERT_NE(got_buckets, nullptr) << name;
+        EXPECT_EQ(got_buckets->dump(), buckets->dump()) << name;
+      }
+    }
+  }
+
+  if (!glva::obs::metrics_enabled()) return;
+  const Json* counter = result->find("counters")->find(p + "counter");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->number, "5");
+  const Json* got_hist = result->find("histograms")->find(p + "hist");
+  ASSERT_NE(got_hist, nullptr);
+  EXPECT_EQ(got_hist->dump(),
+            document.find("histograms")->find(p + "hist")->dump());
+  EXPECT_EQ(got_hist->find("count")->number, "3");
+  EXPECT_EQ(std::strtod(got_hist->find("sum")->number.c_str(), nullptr),
+            (0.1 + 0.2) + (1e7 + 0.123));
 }
 
 TEST(ServeEndToEnd, TraceFieldAttachesStageSpans) {
