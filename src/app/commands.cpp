@@ -605,90 +605,39 @@ int cmd_version(std::ostream& out) {
   return 0;
 }
 
-/// Strip the global `--jobs N` / `--jobs=N` flag out of `args`, returning
-/// the requested worker count (default 1; 0 = one per hardware thread).
-/// Throws glva::InvalidArgument on a missing or non-numeric value.
-std::size_t extract_jobs_flag(std::vector<std::string>& args) {
-  std::size_t jobs = 1;
+/// Strip every global `FLAG V` / `FLAG=V` out of `args`, returning the
+/// values in order. Throws glva::InvalidArgument when FLAG is the last
+/// argument.
+std::vector<std::string> take_flag(std::vector<std::string>& args,
+                                   const std::string& flag) {
+  const std::string prefix = flag + "=";
+  std::vector<std::string> values;
   for (std::size_t i = 0; i < args.size();) {
-    std::string value;
-    if (args[i] == "--jobs") {
-      if (i + 1 >= args.size()) {
-        throw InvalidArgument("--jobs: missing value");
-      }
-      value = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else if (util::starts_with(args[i], "--jobs=")) {
-      value = args[i].substr(7);
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
+    const auto at = args.begin() + static_cast<std::ptrdiff_t>(i);
+    if (args[i] == flag) {
+      if (i + 1 >= args.size()) throw InvalidArgument(flag + ": missing value");
+      values.push_back(args[i + 1]);
+      args.erase(at, at + 2);
+    } else if (util::starts_with(args[i], prefix)) {
+      values.push_back(args[i].substr(prefix.size()));
+      args.erase(at);
     } else {
       ++i;
-      continue;
     }
-    const auto parsed = util::parse_int(value);
-    if (!parsed || *parsed < 0) {
-      throw InvalidArgument("--jobs: expected a non-negative integer, got '" +
-                            value + "'");
-    }
-    jobs = static_cast<std::size_t>(*parsed);
   }
-  return jobs;
+  return values;
 }
 
-/// Strip a global `FLAG FILE` / `FLAG=FILE` output-file flag (`--trace-out`,
-/// `--metrics-out`), returning the file path (empty when absent; the last
-/// one wins). Throws on a missing value.
-std::string extract_file_flag(std::vector<std::string>& args,
-                              const std::string& flag) {
-  const std::string prefix = flag + "=";
+/// The last value of a global output-file flag (`--trace-out`,
+/// `--metrics-out`), or "" when absent. Throws on an empty value.
+std::string take_path_flag(std::vector<std::string>& args,
+                           const std::string& flag) {
   std::string path;
-  for (std::size_t i = 0; i < args.size();) {
-    std::string value;
-    if (args[i] == flag) {
-      if (i + 1 >= args.size()) {
-        throw InvalidArgument(flag + ": missing value");
-      }
-      value = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else if (util::starts_with(args[i], prefix)) {
-      value = args[i].substr(prefix.size());
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-      continue;
-    }
+  for (std::string& value : take_flag(args, flag)) {
     if (value.empty()) throw InvalidArgument(flag + ": missing value");
-    path = value;
+    path = std::move(value);
   }
   return path;
-}
-
-/// Strip the global `--log-level LEVEL` / `--log-level=LEVEL` flag and
-/// apply it. Throws on a missing value or an unknown level name.
-void extract_log_level_flag(std::vector<std::string>& args) {
-  for (std::size_t i = 0; i < args.size();) {
-    std::string value;
-    if (args[i] == "--log-level") {
-      if (i + 1 >= args.size()) {
-        throw InvalidArgument("--log-level: missing value");
-      }
-      value = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else if (util::starts_with(args[i], "--log-level=")) {
-      value = args[i].substr(12);
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-      continue;
-    }
-    if (!util::set_log_level(value)) {
-      throw InvalidArgument("--log-level: expected error, warn, info, or "
-                            "debug, got '" + value + "'");
-    }
-  }
 }
 
 /// The command router proper: global flags already stripped and applied.
@@ -746,12 +695,25 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     ~LogSinkGuard() { util::set_log_sink(nullptr); }
   } log_sink_guard(err);
   try {
+    // Global flags, stripped in this order; the last value of each wins.
     std::vector<std::string> stripped = args;
-    const std::size_t jobs = extract_jobs_flag(stripped);
-    extract_log_level_flag(stripped);
-    const std::string trace_path = extract_file_flag(stripped, "--trace-out");
-    const std::string metrics_path =
-        extract_file_flag(stripped, "--metrics-out");
+    std::size_t jobs = 1;  // 0 = one per hardware thread
+    for (const std::string& value : take_flag(stripped, "--jobs")) {
+      const auto parsed = util::parse_int(value);
+      if (!parsed || *parsed < 0) {
+        throw InvalidArgument(
+            "--jobs: expected a non-negative integer, got '" + value + "'");
+      }
+      jobs = static_cast<std::size_t>(*parsed);
+    }
+    for (const std::string& level : take_flag(stripped, "--log-level")) {
+      if (!util::set_log_level(level)) {
+        throw InvalidArgument("--log-level: expected error, warn, info, or "
+                              "debug, got '" + level + "'");
+      }
+    }
+    const std::string trace_path = take_path_flag(stripped, "--trace-out");
+    const std::string metrics_path = take_path_flag(stripped, "--metrics-out");
 
     // --trace-out wraps the whole command in a trace window; the file is
     // written even when the command fails nonzero (the spans up to the
