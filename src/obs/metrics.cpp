@@ -161,9 +161,9 @@ class Registry {
 
 namespace {
 
-// Leaked on purpose: detached daemon connection threads may write
-// metrics during process teardown, after function-local statics would
-// have been destroyed.
+// Leaked on purpose: daemon connection threads, which nothing joins, may
+// write metrics during process teardown, after function-local statics
+// would have been destroyed.
 Registry& registry() {
   static Registry* r = new Registry();
   return *r;

@@ -24,8 +24,8 @@ std::uint64_t now_ns() {
 }
 
 // Every finished span from every thread, in finishing order. Leaked like
-// the metrics registry: detached daemon connection threads may finish
-// spans during process teardown.
+// the metrics registry: daemon connection threads, which nothing joins,
+// may finish spans during process teardown.
 struct SpanLog {
   std::mutex mutex;
   std::vector<TraceEvent> events;

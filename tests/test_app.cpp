@@ -371,8 +371,9 @@ TEST(Cli, GlobalFlagsGivenTwiceKeepTheLastValue) {
   const TempPath metrics("twice_level.json");
   const auto quiet_last = run({"version", "--log-level", "info", "--log-level",
                                "error", "--metrics-out", metrics.str()});
-  const auto info_last = run({"version", "--log-level=error", "--log-level=info",
-                              "--metrics-out", metrics.str()});
+  const auto info_last = run({"version", "--log-level=error",
+                              "--log-level=info", "--metrics-out",
+                              metrics.str()});
   glva::util::set_log_level(level);
   ASSERT_EQ(quiet_last.code, 0) << quiet_last.err;
   ASSERT_EQ(info_last.code, 0) << info_last.err;
