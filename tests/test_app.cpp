@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -12,10 +13,13 @@
 #include <vector>
 
 #include "app/commands.h"
+#include "circuits/circuit_repository.h"
+#include "core/acquire.h"
 #include "obs/metrics.h"
 #include "sbml/reader.h"
 #include "sbol/sbol_io.h"
 #include "serve/protocol.h"
+#include "store/spill_reader.h"
 #include "util/log.h"
 
 namespace {
@@ -153,15 +157,36 @@ TEST(Cli, AnalyzeWritesCsv) {
 }
 
 TEST(Cli, VerifyWithDigitizeSinkMatchesMemorySink) {
+  const std::filesystem::path dir = "glva_test_digitize_archive";
+  std::filesystem::remove_all(dir);
   const auto memory =
       run({"verify", "myers_and", "--total-time", "600", "--seed", "4"});
-  const auto digitize = run({"verify", "myers_and", "--total-time", "600",
-                             "--seed", "4", "--sink", "digitize"});
-  EXPECT_EQ(memory.code, digitize.code);
-  // The analytics table and verdict are identical; only timing lines (and
-  // the sink's storage strategy) differ.
+  const auto digitize =
+      run({"verify", "myers_and", "--total-time", "600", "--seed", "4",
+           "--sink", "digitize", "--spill-dir", dir.string()});
+  EXPECT_EQ(memory.code, digitize.code) << digitize.err;
+  // The analytics table and verdict are identical; only timing lines
+  // differ.
   EXPECT_EQ(memory.out.substr(0, memory.out.find("timing:")),
             digitize.out.substr(0, digitize.out.find("timing:")));
+
+  // The archive holds the acquisition's planes: one per input, then the
+  // output, over the 601 grid points of t = 0..600.
+  const auto spec = glva::circuits::CircuitRepository::build("myers_and");
+  glva::core::ExperimentConfig config;
+  config.total_time = 600.0;
+  config.seed = 4;
+  const glva::core::Acquisition acquired = glva::core::acquire(spec, config);
+  {
+    glva::store::SpillReader reader((dir / "myers_and-s4.glvt").string());
+    EXPECT_EQ(reader.content_kind(), glva::store::glvt::ContentKind::kBits);
+    EXPECT_EQ(reader.sample_count(), 601u);
+    const glva::core::PackedDigitalData archived = glva::core::load_digitized(
+        reader, spec.input_ids.size(), config.threshold);
+    EXPECT_EQ(archived.inputs, acquired.planes.inputs);
+    EXPECT_EQ(archived.output, acquired.planes.output);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, SpillSinkWithoutDirIsUsageError) {
@@ -196,23 +221,75 @@ TEST(Cli, FailedRunLeavesNoPartialStreamedCsv) {
                         "--replicates", "2", "--total-time", "200"}},
   };
   for (const TestCase& c : cases) {
-    TempPath csv_path(std::string(c.name) + "_partial.csv");
-    const std::string temp_path = csv_path.str() + ".partial";
-    {
-      std::ofstream previous(csv_path.str(), std::ios::binary);
-      previous << "previous successful result\n";
+    // Both archiving sinks fail the same way when the directory cannot
+    // be created.
+    for (const char* sink : {"spill", "digitize"}) {
+      const std::string label = std::string(c.name) + " --sink " + sink;
+      TempPath csv_path(std::string(c.name) + "_" + sink + "_partial.csv");
+      const std::string temp_path = csv_path.str() + ".partial";
+      {
+        std::ofstream previous(csv_path.str(), std::ios::binary);
+        previous << "previous successful result\n";
+      }
+      std::vector<std::string> args = c.args;
+      args.insert(args.end(), {"--csv", csv_path.str(), "--sink", sink,
+                               "--spill-dir", "/proc/glva-nonexistent/spill"});
+      const auto result = run(args);
+      EXPECT_EQ(result.code, 2) << label;
+      EXPECT_FALSE(std::filesystem::exists(temp_path)) << label;
+      std::ifstream survivor(csv_path.str(), std::ios::binary);
+      std::string first_line;
+      ASSERT_TRUE(std::getline(survivor, first_line)) << label;
+      EXPECT_EQ(first_line, "previous successful result") << label;
     }
-    std::vector<std::string> args = c.args;
-    args.insert(args.end(), {"--csv", csv_path.str(), "--sink", "spill",
-                             "--spill-dir", "/proc/glva-nonexistent/spill"});
-    const auto result = run(args);
-    EXPECT_EQ(result.code, 2) << c.name;
-    EXPECT_FALSE(std::filesystem::exists(temp_path)) << c.name;
-    std::ifstream survivor(csv_path.str(), std::ios::binary);
-    std::string first_line;
-    ASSERT_TRUE(std::getline(survivor, first_line)) << c.name;
-    EXPECT_EQ(first_line, "previous successful result") << c.name;
   }
+}
+
+TEST(Cli, EnsembleCsvDirSplitsTheAllReplicateCsv) {
+  // --csv-dir writes one file per replicate, each holding that
+  // replicate's rows of the --csv file without the replicate column.
+  TempPath csv_path("ensemble_all.csv");
+  const std::filesystem::path dir = "glva_test_ensemble_csv_dir";
+  std::filesystem::remove_all(dir);
+  const auto result =
+      run({"ensemble", "0x1", "--replicates", "3", "--total-time", "200",
+           "--seed", "42", "--csv", csv_path.str(), "--csv-dir",
+           dir.string()});
+  // 0x1 mis-extracts at this hold time, so the verdict may be a mismatch
+  // (exit 1); the files are written either way.
+  ASSERT_NE(result.code, 2) << result.err;
+
+  std::ifstream all(csv_path.str(), std::ios::binary);
+  std::string header;
+  ASSERT_TRUE(std::getline(all, header));
+  const std::string kReplicate = "replicate,";
+  ASSERT_EQ(header.rfind(kReplicate, 0), 0u) << header;
+  const std::string replicate_header = header.substr(kReplicate.size());
+  EXPECT_EQ(replicate_header.rfind("case,", 0), 0u) << replicate_header;
+  std::vector<std::string> expected(3, replicate_header + "\n");
+  for (std::string line; std::getline(all, line);) {
+    const std::size_t comma = line.find(',');
+    ASSERT_NE(comma, std::string::npos) << line;
+    const std::size_t replicate = std::stoul(line.substr(0, comma));
+    ASSERT_LT(replicate, expected.size()) << line;
+    expected[replicate] += line.substr(comma + 1) + "\n";
+  }
+
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "replicate_000.csv", "replicate_001.csv",
+                       "replicate_002.csv"}));
+  for (std::size_t r = 0; r < expected.size(); ++r) {
+    std::ifstream file(dir / names.at(r), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << file.rdbuf();
+    EXPECT_EQ(bytes.str(), expected[r]) << names.at(r);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, EnsembleWritesConfidenceCsv) {

@@ -867,6 +867,56 @@ TEST(DigitizingSink, ReplayFromSpillMatchesDirectDigitization) {
   EXPECT_EQ(digitizer.planes()[1], core::adc_packed(trace.series("A"), 10.0));
 }
 
+TEST(DigitizingSink, EveryDeliveryMatchesComparisonOnSpecialValues) {
+  // The ADC's comparison: bit k is set iff samples[k] >= threshold (NaN
+  // compares false, -0.0 equals 0.0), whichever call delivers the sample
+  // and at whatever word offset the delivery starts.
+  constexpr double kThreshold = 15.0;
+  sim::Rng rng(101);
+  for (const std::size_t lead : {0u, 1u, 7u, 63u}) {
+    for (const std::size_t samples : {1u, 63u, 64u, 65u, 200u, 4161u}) {
+      const std::size_t n = lead + samples;
+      const std::vector<double> x =
+          testutil::special_doubles(n, kThreshold, rng);
+      const std::vector<double> y =
+          testutil::special_doubles(n, kThreshold, rng);
+      std::vector<double> times(n);
+      for (std::size_t k = 0; k < n; ++k) times[k] = static_cast<double>(k);
+      for (const bool blocks : {true, false}) {
+        // Tracked in reverse column order, so each plane reads its own
+        // column.
+        store::DigitizingSink sink({"Y", "X"}, kThreshold);
+        sink.begin({"X", "Y"});
+        const auto deliver = [&](std::size_t first, std::size_t count) {
+          if (blocks) {
+            const std::span<const double> columns[] = {
+                std::span<const double>(x).subspan(first, count),
+                std::span<const double>(y).subspan(first, count)};
+            sink.append_block(
+                std::span<const double>(times).subspan(first, count), columns);
+            return;
+          }
+          for (std::size_t k = first; k < first + count; ++k) {
+            sink.append(times[k], {x[k], y[k]});
+          }
+        };
+        deliver(0, lead);
+        deliver(lead, samples);
+        sink.finish();
+        ASSERT_EQ(sink.sample_count(), n);
+        for (std::size_t k = 0; k < n; ++k) {
+          ASSERT_EQ(sink.planes()[0].test(k), y[k] >= kThreshold)
+              << (blocks ? "blocks" : "rows") << ", lead " << lead
+              << ", samples " << samples << ", sample " << k << " = " << y[k];
+          ASSERT_EQ(sink.planes()[1].test(k), x[k] >= kThreshold)
+              << (blocks ? "blocks" : "rows") << ", lead " << lead
+              << ", samples " << samples << ", sample " << k << " = " << x[k];
+        }
+      }
+    }
+  }
+}
+
 TEST(DigitizingSink, ValidatesArguments) {
   EXPECT_THROW(store::DigitizingSink({}, 15.0), InvalidArgument);
   EXPECT_THROW(store::DigitizingSink({"A"}, 0.0), InvalidArgument);
