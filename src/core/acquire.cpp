@@ -7,6 +7,7 @@
 
 #include "obs/trace.h"
 #include "store/digitizing_sink.h"
+#include "store/glvt.h"
 #include "store/memory_sink.h"
 #include "store/spill_sink.h"
 #include "util/errors.h"
@@ -72,17 +73,20 @@ Acquisition run_pass(const circuits::CircuitSpec& spec,
   lab.declare_inputs(spec.input_ids);
 
   const std::string archive = archive_path(spec, config);
-  store::DigitizingSink digitizer = [&] {
-    if (config.sink != store::SinkKind::kDigitize || archive.empty()) {
-      return store::DigitizingSink(plane_names(spec), config.threshold);
-    }
-    store::DigitizingSink::SpillOptions spill;
-    spill.path = archive;
-    spill.seed = config.seed;
-    spill.sampling_period = config.sampling_period;
-    return store::DigitizingSink(plane_names(spec), config.threshold,
-                                 std::move(spill));
-  }();
+  store::DigitizingSink digitizer(plane_names(spec), config.threshold);
+  // The bit-plane archive is written from the finished planes, but opened
+  // here, so a bad path fails before anything simulates.
+  std::optional<store::glvt::FileWriter> planes_archive;
+  if (config.sink == store::SinkKind::kDigitize && !archive.empty()) {
+    planes_archive.emplace(
+        archive, "bit-plane archive",
+        store::glvt::FileWriter::Header{
+            .content = store::glvt::ContentKind::kBits,
+            .threshold = config.threshold,
+            .seed = config.seed,
+            .sampling_period = config.sampling_period});
+    planes_archive->open(plane_names(spec));
+  }
   std::optional<store::SpillSink> analog;
   if (config.sink == store::SinkKind::kSpill) {
     store::SpillSink::Options options;
@@ -101,6 +105,9 @@ Acquisition run_pass(const circuits::CircuitSpec& spec,
     GLVA_SPAN("simulate");
     acquired.schedule = lab.run_combination_sweep_into(
         config.total_time, config.high_level(), tee);
+    if (planes_archive) {
+      store::glvt::write_planes(*planes_archive, digitizer.planes());
+    }
   }
   acquired.simulate_seconds = util::seconds_since(start);
   acquired.planes = take_digitized(digitizer, spec.input_ids.size());

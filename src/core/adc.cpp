@@ -1,9 +1,8 @@
 #include "core/adc.h"
 
-#include <algorithm>
 #include <cstring>
+#include <span>
 
-#include "logic/word_pack.h"
 #include "store/spill_reader.h"
 #include "util/errors.h"
 
@@ -26,29 +25,6 @@ std::vector<bool> adc(const std::vector<double>& analog, double threshold) {
     digital[k] = analog[k] >= threshold;
   }
   return digital;
-}
-
-logic::BitStream adc_packed(const std::vector<double>& analog,
-                            double threshold) {
-  require_positive_threshold(threshold, "adc_packed");
-  constexpr std::size_t kWordBits = logic::BitStream::kWordBits;
-  const std::size_t full_words = analog.size() / kWordBits;
-  std::vector<std::uint64_t> words((analog.size() + kWordBits - 1) /
-                                   kWordBits);
-  const double* samples = analog.data();
-  // One dispatched block call packs every full word (the active SIMD
-  // kernel compares 2/4/8 doubles per instruction); the ragged tail goes
-  // through the length-taking packer so no out-of-bounds doubles are read.
-  if (full_words > 0) {
-    logic::simd::active().pack_threshold_block(samples, full_words, threshold,
-                                               words.data());
-  }
-  const std::size_t base = full_words * kWordBits;
-  if (base < analog.size()) {
-    words[full_words] = logic::pack_threshold_bits(
-        samples + base, analog.size() - base, threshold);
-  }
-  return logic::BitStream::from_words(analog.size(), std::move(words));
 }
 
 DigitalData digitize(const sim::Trace& trace,
@@ -74,13 +50,18 @@ PackedDigitalData digitize_packed(const sim::Trace& trace,
     throw InvalidArgument(
         "digitize_packed: at least one input species is required");
   }
-  PackedDigitalData data;
-  data.inputs.reserve(input_ids.size());
-  for (const auto& id : input_ids) {
-    data.inputs.push_back(adc_packed(trace.series(id), threshold));
+  std::vector<std::string> tracked = input_ids;
+  tracked.push_back(output_id);
+  store::DigitizingSink sink(std::move(tracked), threshold);
+  sink.begin(trace.species_names());
+  std::vector<std::span<const double>> columns;
+  columns.reserve(trace.species_count());
+  for (std::size_t s = 0; s < trace.species_count(); ++s) {
+    columns.emplace_back(trace.series(s));
   }
-  data.output = adc_packed(trace.series(output_id), threshold);
-  return data;
+  sink.append_block(trace.times(), columns);
+  sink.finish();
+  return take_digitized(sink, input_ids.size());
 }
 
 PackedDigitalData pack(const DigitalData& data) {

@@ -31,16 +31,6 @@ namespace glva::core {
 [[nodiscard]] std::vector<bool> adc(const std::vector<double>& analog,
                                     double threshold);
 
-/// Bit-packed digitization of one analog series: identical comparison and
-/// bit order as `adc`, but each group of 64 samples is assembled in a
-/// register (SIMD compare where available) and stored with one word write
-/// instead of 64 `vector<bool>` proxy read-modify-writes — the entry
-/// point of the packed analysis path. Same precondition (threshold > 0,
-/// throws glva::InvalidArgument); postcondition: result.unpack() ==
-/// adc(analog, threshold). O(samples).
-[[nodiscard]] logic::BitStream adc_packed(const std::vector<double>& analog,
-                                          double threshold);
-
 /// The digitized I/O streams Algorithm 1 works on: one bit stream per
 /// chosen input species (MSB first) plus the chosen output species.
 struct DigitalData {
@@ -77,7 +67,8 @@ struct PackedDigitalData {
 
 /// Packed twin of `digitize`: same selection, validation, and bit values,
 /// emitting `PackedDigitalData` without materializing any `vector<bool>`
-/// intermediate. Postcondition: unpack(digitize_packed(...)) ==
+/// intermediate — the trace's columns go through a `store::DigitizingSink`
+/// as one block. Postcondition: unpack(digitize_packed(...)) ==
 /// digitize(...). O(input_count · samples).
 [[nodiscard]] PackedDigitalData digitize_packed(
     const sim::Trace& trace, const std::vector<std::string>& input_ids,
@@ -98,16 +89,16 @@ struct PackedDigitalData {
 [[nodiscard]] PackedDigitalData take_digitized(store::DigitizingSink& sink,
                                                std::size_t input_count);
 
-/// Assemble the analyzer's input from a spilled bit-plane `.glvt` file
-/// (the `DigitizingSink` spill tee's artifact): `SpillReader::read_planes`
-/// hands the packed words back word-aligned, so the planes reach
-/// `analyze_packed` with no double materialization and no re-thresholding
-/// — bit-identical to the in-memory `take_digitized` handoff for the same
-/// run. Plane order follows the same convention (inputs MSB-first, then
-/// the output). `threshold` must bit-match the file header's recorded
-/// ThVAL: planes digitized at a different threshold are a different
-/// experiment, so a mismatch throws glva::InvalidArgument rather than
-/// silently relabeling them. Throws glva::StorageError for an analog file
+/// Assemble the analyzer's input from a bit-plane `.glvt` file (the
+/// `--sink digitize` archive, written by `glvt::write_planes`):
+/// `SpillReader::read_planes` hands the packed words back word-aligned, so
+/// the planes reach `analyze_packed` with no double materialization and no
+/// re-thresholding — bit-identical to the in-memory `take_digitized`
+/// handoff for the same run. Plane order follows the same convention
+/// (inputs MSB-first, then the output). `threshold` must bit-match the
+/// file header's recorded ThVAL: planes digitized at a different threshold
+/// are a different experiment, so a mismatch throws glva::InvalidArgument
+/// rather than silently relabeling them. Throws glva::StorageError for an analog file
 /// and glva::InvalidArgument when the file tracks fewer than
 /// input_count + 1 species.
 [[nodiscard]] PackedDigitalData load_digitized(store::SpillReader& reader,

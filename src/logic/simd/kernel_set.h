@@ -40,14 +40,6 @@ struct KernelSet {
   IsaLevel level;
   const char* name;  ///< "scalar" | "avx2" | "avx512"
 
-  /// Pack `words * 64` threshold comparisons: out[w] bit j =
-  /// (samples[64w + j] >= threshold), NaN comparing false exactly like
-  /// the scalar `>=`. Precondition: `samples` points at exactly
-  /// `words * 64` readable doubles (use logic::pack_threshold_bits for
-  /// ragged tails).
-  void (*pack_threshold_block)(const double* samples, std::size_t words,
-                               double threshold, std::uint64_t* out);
-
   /// Σ popcount(words[i]) over i in [0, n).
   std::size_t (*popcount_words)(const std::uint64_t* words, std::size_t n);
 

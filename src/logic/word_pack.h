@@ -4,39 +4,17 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "logic/simd/kernel_set.h"
-
-/// The threshold word packers shared by the analysis-stage ADC
-/// (`core::adc_packed`) and the fused sampler→ADC sink
-/// (`store::DigitizingSink`). Lives in logic/ so both layers reuse one
-/// kernel without a core/ ↔ store/ dependency cycle. Since the SIMD
-/// dispatch layer landed, these are thin wrappers over the active
-/// `simd::KernelSet` — bulk producers should call
-/// `simd::active().pack_threshold_block` directly and amortize the
-/// dispatch over a whole batch of words.
+/// The threshold word packer of the packed ADC (`store::DigitizingSink`).
+/// Lives in logic/ beside `BitStream`, whose LSB-first word layout it
+/// produces.
 namespace glva::logic {
 
-/// Pack 64 consecutive threshold comparisons into one word, bit j =
-/// (samples[j] >= threshold); NaN compares false, exactly like the
-/// scalar `>=`.
-///
-/// PRECONDITION: `samples` points at exactly 64 readable doubles — this
-/// function always reads all 64 (asserted in debug builds; in release
-/// a short buffer is out-of-bounds UB). For a ragged tail of fewer than
-/// 64 samples use `pack_threshold_bits`, which takes the length.
-inline std::uint64_t pack_threshold_word64(const double* samples,
-                                           double threshold) {
-  assert(samples != nullptr && "pack_threshold_word64: 64 doubles required");
-  std::uint64_t word = 0;
-  simd::active().pack_threshold_block(samples, 1, threshold, &word);
-  return word;
-}
-
-/// Length-taking safe variant for ragged tails: pack the first `count`
-/// comparisons (count <= 64, asserted) into the low `count` bits of the
-/// result; higher bits are zero — ready for `BitStream::append_bits` or
-/// ORing into a partially filled pending word. Reads exactly `count`
-/// doubles, so it is safe on buffers shorter than a full word. O(count).
+/// Pack the first `count` comparisons (count <= 64, asserted) into the low
+/// `count` bits of the result, bit j = (samples[j] >= threshold), NaN
+/// comparing false exactly like the scalar `>=`; higher bits are zero —
+/// ready for `BitStream::append_bits` or ORing into a partially filled
+/// pending word. Reads exactly `count` doubles, so it is safe on buffers
+/// shorter than a full word. O(count).
 inline std::uint64_t pack_threshold_bits(const double* samples,
                                          std::size_t count, double threshold) {
   assert(count <= 64 && "pack_threshold_bits: at most one word per call");

@@ -19,24 +19,6 @@ DigitizingSink::DigitizingSink(std::vector<std::string> species_ids,
   }
 }
 
-DigitizingSink::DigitizingSink(std::vector<std::string> species_ids,
-                               double threshold, SpillOptions spill)
-    : DigitizingSink(std::move(species_ids), threshold) {
-  if (spill.path.empty()) {
-    throw InvalidArgument("DigitizingSink: spill path must not be empty");
-  }
-  // The bit-plane header records the ADC threshold the planes are
-  // digitized at: the self-description a replay needs to refuse a ThVAL
-  // mismatch.
-  archive_.emplace(std::move(spill.path), "DigitizingSink",
-                   glvt::FileWriter::Header{
-                       .content = glvt::ContentKind::kBits,
-                       .threshold = threshold_,
-                       .seed = spill.seed,
-                       .sampling_period = spill.sampling_period,
-                       .chunk_capacity = spill.chunk_samples});
-}
-
 void DigitizingSink::begin(const std::vector<std::string>& species_names) {
   columns_.clear();
   columns_.reserve(species_ids_.size());
@@ -59,38 +41,6 @@ void DigitizingSink::begin(const std::vector<std::string>& species_names) {
   pending_.assign(species_ids_.size(), 0);
   samples_ = 0;
   tail_committed_ = false;
-
-  if (archive_) {
-    spilled_samples_ = 0;
-    archive_->open(species_ids_);
-  }
-}
-
-void DigitizingSink::spill_chunks(bool final) {
-  if (!archive_) return;
-  // Only whole committed words spill (pending bits stay in their
-  // registers); the tail chunk on `final` picks up the ragged end after
-  // finish() commits it.
-  const std::uint64_t capacity = archive_->header().chunk_capacity;
-  const std::uint64_t committed =
-      final ? samples_ : samples_ - samples_ % logic::BitStream::kWordBits;
-  for (;;) {
-    const std::uint64_t available = committed - spilled_samples_;
-    if (available == 0) break;
-    const std::uint64_t take = std::min(available, capacity);
-    if (take < capacity && !final) break;
-    const std::size_t first_word =
-        static_cast<std::size_t>(spilled_samples_ / 64);
-    const std::size_t chunk_words = static_cast<std::size_t>((take + 63) / 64);
-    std::string& chunk =
-        archive_->begin_chunk(static_cast<std::uint32_t>(take));
-    for (const logic::BitStream& plane : planes_) {
-      glvt::encode_words_section(plane.words().data() + first_word,
-                                 chunk_words, chunk);
-    }
-    archive_->write_chunk();
-    spilled_samples_ += take;
-  }
 }
 
 void DigitizingSink::commit_words() {
@@ -135,7 +85,6 @@ void DigitizingSink::append_hold(std::span<const double> times,
     pending_[i] = low_bits(fill, tail);
   }
   samples_ += n;
-  if (word_done) spill_chunks(false);
 }
 
 void DigitizingSink::append_block(
@@ -154,44 +103,21 @@ void DigitizingSink::append_block(
           "column");
     }
   }
+  // Each step fills the pending word up to the next word boundary (or
+  // the block end) and commits it there, as the hold path does.
   const std::size_t n = times.size();
-  std::size_t k = 0;
-  while (k < n) {
+  for (std::size_t k = 0; k < n;) {
     const std::size_t bit = samples_ % kWordBits;
-    if (bit != 0 || n - k < kWordBits) {
-      // Fill the pending word up to the next boundary (or the block end).
-      const std::size_t m = std::min(kWordBits - bit, n - k);
-      for (std::size_t i = 0; i < columns_.size(); ++i) {
-        const std::span<const double> column = series[columns_[i]];
-        pending_[i] |=
-            logic::pack_threshold_bits(column.data() + k, m, threshold_) << bit;
-      }
-      samples_ += m;
-      k += m;
-      if (samples_ % kWordBits == 0) commit_words();
-    } else {
-      // Word-aligned bulk: one dispatched pack_threshold_block call fills
-      // each batch (64 comparisons per word, 2/4/8 doubles per compare on
-      // the SIMD tiers), committed to the plane with one bulk insert.
-      constexpr std::size_t kBatchWords = 64;  // 4096 samples per commit
-      std::uint64_t batch[kBatchWords];
-      const std::size_t words = (n - k) / kWordBits;
-      const logic::simd::KernelSet& kernels = logic::simd::active();
-      for (std::size_t i = 0; i < columns_.size(); ++i) {
-        const double* base = series[columns_[i]].data() + k;
-        for (std::size_t w = 0; w < words;) {
-          const std::size_t take = std::min(kBatchWords, words - w);
-          kernels.pack_threshold_block(base + w * kWordBits, take, threshold_,
-                                       batch);
-          planes_[i].append_words(std::span<const std::uint64_t>(batch, take));
-          w += take;
-        }
-      }
-      samples_ += words * kWordBits;
-      k += words * kWordBits;
+    const std::size_t m = std::min(kWordBits - bit, n - k);
+    for (std::size_t i = 0; i < columns_.size(); ++i) {
+      pending_[i] |= logic::pack_threshold_bits(series[columns_[i]].data() + k,
+                                                m, threshold_)
+                     << bit;
     }
+    samples_ += m;
+    k += m;
+    if (samples_ % kWordBits == 0) commit_words();
   }
-  spill_chunks(false);
 }
 
 void DigitizingSink::finish() {
@@ -207,11 +133,6 @@ void DigitizingSink::finish() {
   if (samples_ > 0) {
     static obs::Counter& samples = obs::counter("store.digitize.samples");
     samples.add(samples_);
-  }
-
-  if (archive_) {
-    spill_chunks(true);
-    archive_->finish(samples_);
   }
 }
 

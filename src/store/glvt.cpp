@@ -1,5 +1,6 @@
 #include "store/glvt.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -280,6 +281,28 @@ void FileWriter::finish(std::uint64_t sample_count) {
 
 void FileWriter::fail(const char* what) const {
   throw StorageError(std::string(owner_) + ": " + what + ": " + path_);
+}
+
+void write_planes(FileWriter& writer,
+                  std::span<const logic::BitStream> planes) {
+  const std::uint64_t samples = planes.empty() ? 0 : planes.front().size();
+  for (const logic::BitStream& plane : planes) {
+    if (plane.size() != samples) {
+      throw InvalidArgument("write_planes: planes differ in length");
+    }
+  }
+  // Chunk capacities are multiples of 64, so every chunk starts on a word.
+  const std::uint64_t capacity = writer.header().chunk_capacity;
+  for (std::uint64_t first = 0; first < samples; first += capacity) {
+    const std::uint64_t take = std::min(capacity, samples - first);
+    std::string& chunk = writer.begin_chunk(static_cast<std::uint32_t>(take));
+    for (const logic::BitStream& plane : planes) {
+      encode_words_section(plane.words().data() + first / 64,
+                           static_cast<std::size_t>((take + 63) / 64), chunk);
+    }
+    writer.write_chunk();
+  }
+  writer.finish(samples);
 }
 
 }  // namespace glva::store::glvt

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "logic/bit_stream.h"
+
 /// The `.glvt` ("GLVA trace") on-disk format: its section codecs, the one
 /// writer both archive sinks share (`FileWriter`, below), and the layout
 /// `SpillReader` decodes. One file is one uniformly sampled
@@ -39,7 +41,7 @@
 /// grid collapses to its start time — the whole column is implied by
 /// `sample_index · sampling_period`) and `kWords` (packed 64-bit
 /// `BitStream` words — the chunk payload of a *digitized* file, written by
-/// `DigitizingSink` and handed back to the packed analyzer with no
+/// `write_planes` and handed back to the packed analyzer with no
 /// re-thresholding). Version 1 files carry neither and still decode byte
 /// for byte; the writer emits version 2 only.
 ///
@@ -68,7 +70,7 @@ inline constexpr std::size_t kIndexOffsetOffset = 48;
 /// What a v2 file's chunk sections carry. `kAnalog` files hold one f64
 /// column per species (plus times); `kBits` files hold one packed bit
 /// plane per tracked species, thresholded at the header's threshold — the
-/// spilled form of `DigitizingSink`'s planes. v1 files are always analog.
+/// archived form of `DigitizingSink`'s planes. v1 files are always analog.
 enum class ContentKind : std::uint32_t { kAnalog = 0, kBits = 1 };
 
 /// Per-section payload encodings. RLE runs over *bit-identical* doubles
@@ -170,8 +172,7 @@ void decode_words_section(std::string_view buffer, std::size_t& offset,
                           std::vector<std::uint64_t>& words);
 
 /// The one `.glvt` writer, shared by `SpillSink` (analog columns) and
-/// `DigitizingSink`'s bit-plane tee (`kWords` planes). It owns the file
-/// framing — the v2 header, each chunk's magic, sample count and offset,
+/// `write_planes` (`kWords` planes). It owns the file framing — the v2 header, each chunk's magic, sample count and offset,
 /// the `store.spill.bytes_written` and `store.spill.chunks_flushed`
 /// counters, and the index write and header patch that finish a file — so
 /// a sink encodes only its chunk sections. Chunks go straight to one
@@ -232,5 +233,13 @@ private:
   std::vector<std::uint64_t> chunk_offsets_;
   std::uint64_t write_offset_ = 0;  ///< file offset of the next chunk
 };
+
+/// Write finished bit planes (one per name `writer` was opened with, all
+/// of one length) as the chunks of a `kBits` file, one `kWords` section
+/// per plane per chunk, then finish the file. The words go out as the
+/// planes hold them, tail bits zero. Throws glva::InvalidArgument when the
+/// planes differ in length, and what `FileWriter` throws.
+void write_planes(FileWriter& writer,
+                  std::span<const logic::BitStream> planes);
 
 }  // namespace glva::store::glvt

@@ -21,6 +21,7 @@
 #include "logic/combination_index.h"
 #include "logic/input_runs.h"
 #include "sim/rng.h"
+#include "sim/trace.h"
 #include "util/errors.h"
 
 namespace {
@@ -537,12 +538,34 @@ TEST(RunReduction, AnalyzePackedTakesSixteenInputs) {
   EXPECT_EQ(packed.fitness(), reference.fitness());
 }
 
-TEST(PackedAnalysis, AdcPackedMatchesAdc) {
+TEST(PackedAnalysis, DigitizePackedMatchesDigitize) {
   sim::Rng rng(61);
-  std::vector<double> analog(257);
-  for (double& v : analog) v = rng.normal() * 10.0 + 15.0;
-  EXPECT_EQ(core::adc_packed(analog, 15.0).unpack(), core::adc(analog, 15.0));
-  EXPECT_THROW((void)core::adc_packed(analog, 0.0), InvalidArgument);
+  sim::Trace trace({"A", "GFP", "B"});
+  for (std::size_t k = 0; k < 257; ++k) {
+    trace.append(static_cast<double>(k),
+                 {rng.normal() * 10.0 + 15.0, rng.normal() * 10.0 + 15.0,
+                  rng.normal() * 10.0 + 15.0});
+  }
+  const core::DigitalData reference =
+      core::digitize(trace, {"B", "A"}, "GFP", 15.0);
+  const core::DigitalData packed =
+      core::unpack(core::digitize_packed(trace, {"B", "A"}, "GFP", 15.0));
+  EXPECT_EQ(packed.inputs, reference.inputs);
+  EXPECT_EQ(packed.output, reference.output);
+  // The same refusals: no inputs (checked first), an unknown id, a
+  // non-positive threshold.
+  try {
+    (void)core::digitize_packed(trace, {}, "missing", 0.0);
+    ADD_FAILURE() << "an empty input list must be refused";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("at least one input"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW((void)core::digitize_packed(trace, {"A"}, "missing", 15.0),
+               InvalidArgument);
+  EXPECT_THROW((void)core::digitize_packed(trace, {"A"}, "GFP", 0.0),
+               InvalidArgument);
 }
 
 TEST(PackedAnalysis, PackUnpackRoundTrip) {

@@ -1,10 +1,10 @@
 // Conformance harness for the SIMD kernel layer (src/logic/simd/): one
 // kernel source compiled per ISA, the widest runnable variant picked once
 // by CPUID. Every variant this host can run is called directly through
-// its table and fuzzed bit-for-bit against naive per-sample and per-bit
-// oracles: ragged tails, misaligned pointers, NaN/±inf/-0.0/threshold-
-// equal doubles, the edge words of the shift kernels, in place. Run
-// under the sanitizers, this covers each variant's loads as well.
+// its table and fuzzed bit-for-bit against naive per-bit oracles: ragged
+// tails, misaligned pointers, the edge words of the shift kernels, in
+// place. Run under the sanitizers, this covers each variant's loads as
+// well.
 
 #include <gtest/gtest.h>
 
@@ -27,10 +27,7 @@ using testutil::naive_popcount;
 using testutil::naive_transitions;
 using testutil::random_bools;
 using testutil::random_words;
-using testutil::special_doubles;
 using testutil::word_bits;
-
-constexpr double kThreshold = 15.0;
 
 std::uint64_t tail_mask_for(std::size_t bits) {
   const std::size_t rem = bits % BitStream::kWordBits;
@@ -63,7 +60,6 @@ TEST(SimdDispatch, AvailableSetsAreOrderedAndSelfConsistent) {
       EXPECT_GT(sets[i]->level, sets[i - 1]->level);
     }
     // A complete table: no null entry may ever reach a caller.
-    EXPECT_NE(sets[i]->pack_threshold_block, nullptr);
     EXPECT_NE(sets[i]->popcount_words, nullptr);
     EXPECT_NE(sets[i]->transition_count_words, nullptr);
     EXPECT_NE(sets[i]->or_shift_down_words, nullptr);
@@ -81,32 +77,8 @@ TEST(SimdDispatch, ActiveIsTheWidestRunnableVariant) {
 // --------------------------------------------- kernel-level conformance
 //
 // Every kernel of every runnable variant is held to a naive oracle that
-// calls no word kernel: the per-sample `>=` for the packer, the per-bit
-// counters of tests/fuzz_util.h for the counting kernels, and a per-bit
-// shift for the monitor's shift kernels.
-
-TEST(SimdKernels, PackThresholdBlockMatchesComparisonOnSpecialValues) {
-  sim::Rng rng(101);
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    for (const std::size_t words : {1u, 2u, 3u, 8u, 64u, 65u}) {
-      // +8 doubles of slack so every offset misaligns the vector loads
-      // without reading past the buffer.
-      const std::vector<double> buffer =
-          special_doubles(words * 64 + 8, kThreshold, rng);
-      for (const std::size_t offset : {0u, 1u, 3u, 7u}) {
-        const double* samples = buffer.data() + offset;
-        std::vector<std::uint64_t> packed(words, 0xFEEDFACEu);
-        set->pack_threshold_block(samples, words, kThreshold, packed.data());
-        const std::vector<bool> bits = word_bits(packed.data(), words * 64);
-        for (std::size_t k = 0; k < bits.size(); ++k) {
-          ASSERT_EQ(bits[k], samples[k] >= kThreshold)
-              << set->name << ", words " << words << ", offset " << offset
-              << ", sample " << k << " = " << samples[k];
-        }
-      }
-    }
-  }
-}
+// calls no word kernel: the per-bit counters of tests/fuzz_util.h for the
+// counting kernels, and a per-bit shift for the monitor's shift kernels.
 
 TEST(SimdKernels, PopcountMatchesNaiveAcrossLengthsAndAlignment) {
   sim::Rng rng(107);

@@ -126,15 +126,56 @@ std::string read_file_bytes(const fs::path& path) {
   return bytes.str();
 }
 
-/// The bit-plane tee the spill tests write: chunk 64, seed 9, period 0.5.
-store::DigitizingSink::SpillOptions plane_spill(const fs::path& path) {
-  store::DigitizingSink::SpillOptions spill;
-  spill.path = path.string();
-  spill.chunk_samples = 64;
-  spill.seed = 9;
-  spill.sampling_period = 0.5;
-  return spill;
-}
+/// A bit-plane archive written the way `core::acquire` writes one: a
+/// DigitizingSink digitizes the stream, and finish() hands its planes to
+/// `glvt::write_planes` through a FileWriter opened in begin(). Chunk 64,
+/// period 0.5, seed 9 unless given.
+class PlaneArchiveSink final : public store::TraceSink {
+public:
+  PlaneArchiveSink(std::vector<std::string> tracked, double threshold,
+                   const fs::path& path, std::uint64_t seed = 9)
+      : digitizer_(std::move(tracked), threshold),
+        writer_(path.string(), "PlaneArchiveSink",
+                {.content = store::glvt::ContentKind::kBits,
+                 .threshold = threshold,
+                 .seed = seed,
+                 .sampling_period = 0.5,
+                 .chunk_capacity = 64}) {}
+
+  void begin(const std::vector<std::string>& species_names) override {
+    digitizer_.begin(species_names);
+    writer_.open(digitizer_.species_ids());
+  }
+  void append(double time, const std::vector<double>& values) override {
+    digitizer_.append(time, values);
+  }
+  void append_block(std::span<const double> times,
+                    std::span<const std::span<const double>> series) override {
+    digitizer_.append_block(times, series);
+  }
+  void append_hold(std::span<const double> times,
+                   const std::vector<double>& values) override {
+    digitizer_.append_hold(times, values);
+  }
+  void finish() override {
+    digitizer_.finish();
+    store::glvt::write_planes(writer_, digitizer_.planes());
+  }
+
+  [[nodiscard]] store::DigitizingSink& digitizer() noexcept {
+    return digitizer_;
+  }
+  [[nodiscard]] const std::vector<logic::BitStream>& planes() const noexcept {
+    return digitizer_.planes();
+  }
+  [[nodiscard]] const std::string& path() const noexcept {
+    return writer_.path();
+  }
+
+private:
+  store::DigitizingSink digitizer_;
+  store::glvt::FileWriter writer_;
+};
 
 // --------------------------------------------------------------- SinkKind
 
@@ -366,8 +407,7 @@ TEST(Spill, RejectsOversizedHeaderFields) {
   // open, before read_planes() would reserve 2^56 words per plane.
   const fs::path planes_path = temp_path("oversized_planes.glvt");
   {
-    store::DigitizingSink planes({"A", "B", "GFP"}, 15.0,
-                                 plane_spill(planes_path));
+    PlaneArchiveSink planes({"A", "B", "GFP"}, 15.0, planes_path);
     stream_trace(synthetic_trace(150), planes);
   }
   const std::string plane_bytes = read_file_bytes(planes_path);
@@ -648,8 +688,8 @@ TEST(SpillV2, RejectsBadContentKindAndThresholdFields) {
 TEST(BitPlaneSpill, RoundTripMatchesInMemoryPlanes) {
   const sim::Trace trace = synthetic_trace(300);
   const fs::path path = temp_path("planes.glvt");
-  store::DigitizingSink sink({"A", "B", "GFP"}, 15.0, plane_spill(path));
-  EXPECT_EQ(sink.spill_path(), path.string());
+  PlaneArchiveSink sink({"A", "B", "GFP"}, 15.0, path);
+  EXPECT_EQ(sink.path(), path.string());
   stream_trace(trace, sink);
 
   store::SpillReader reader(path.string());
@@ -680,7 +720,7 @@ TEST(BitPlaneSpill, RoundTripFuzzAcrossSizes) {
     const sim::Trace trace = synthetic_trace(samples);
     const fs::path path =
         temp_path("planes_fuzz_" + std::to_string(samples) + ".glvt");
-    store::DigitizingSink sink({"GFP", "A"}, 10.0, plane_spill(path));
+    PlaneArchiveSink sink({"GFP", "A"}, 10.0, path);
     stream_trace(trace, sink);
 
     store::SpillReader reader(path.string());
@@ -695,9 +735,10 @@ TEST(BitPlaneSpill, RoundTripFuzzAcrossSizes) {
 TEST(BitPlaneSpill, LoadDigitizedMatchesTakeDigitized) {
   const sim::Trace trace = synthetic_trace(500);
   const fs::path path = temp_path("planes_load.glvt");
-  store::DigitizingSink sink({"A", "B", "GFP"}, 15.0, plane_spill(path));
+  PlaneArchiveSink sink({"A", "B", "GFP"}, 15.0, path);
   stream_trace(trace, sink);
-  const core::PackedDigitalData direct = core::take_digitized(sink, 2);
+  const core::PackedDigitalData direct =
+      core::take_digitized(sink.digitizer(), 2);
 
   store::SpillReader reader(path.string());
   const core::PackedDigitalData loaded = core::load_digitized(reader, 2, 15.0);
@@ -723,12 +764,7 @@ TEST(BitPlaneSpill, ReadPlanesRejectsAnalogFile) {
 
 TEST(BitPlaneSpill, GoldenFileBytesAreStable) {
   const fs::path path = temp_path("planes_golden_generated.glvt");
-  store::DigitizingSink::SpillOptions spill;
-  spill.path = path.string();
-  spill.chunk_samples = 64;
-  spill.seed = 123;
-  spill.sampling_period = 0.5;
-  store::DigitizingSink sink({"A", "B", "GFP"}, 15.0, spill);
+  PlaneArchiveSink sink({"A", "B", "GFP"}, 15.0, path, 123);
   stream_trace(synthetic_trace(150), sink);
 
   const std::string generated = read_file_bytes(path);
@@ -744,7 +780,7 @@ TEST(BitPlaneSpill, GoldenFileBytesAreStable) {
 
 TEST(BitPlaneSpill, RejectsCorruptWordsSection) {
   const fs::path path = temp_path("bad_words.glvt");
-  store::DigitizingSink sink({"A", "B", "GFP"}, 15.0, plane_spill(path));
+  PlaneArchiveSink sink({"A", "B", "GFP"}, 15.0, path);
   stream_trace(synthetic_trace(100), sink);
 
   std::size_t chunk_offset = store::glvt::kHeaderFixedBytesV2;
@@ -764,8 +800,9 @@ TEST(BitPlaneSpill, RejectsCorruptWordsSection) {
 
 // ------------------------------------------- archive write-failure contract
 
-/// The two sinks that write a `.glvt` archive, by name, each opened on the
-/// given path.
+/// The two ways a `.glvt` archive is written, by name, each opened on the
+/// given path: the analog sink, and a bit-plane archive of the
+/// digitizer's planes.
 struct ArchiveSinkCase {
   const char* name;
   std::unique_ptr<store::TraceSink> (*make)(const std::string& path);
@@ -777,11 +814,10 @@ const ArchiveSinkCase kArchiveSinks[] = {
        return std::make_unique<store::SpillSink>(
            path, store::SpillSink::Options{.chunk_samples = 64});
      }},
-    {"DigitizingSink",
+    {"PlaneArchiveSink",
      [](const std::string& path) -> std::unique_ptr<store::TraceSink> {
-       return std::make_unique<store::DigitizingSink>(
-           std::vector<std::string>{"A", "B", "GFP"}, 15.0,
-           plane_spill(path));
+       return std::make_unique<PlaneArchiveSink>(
+           std::vector<std::string>{"A", "B", "GFP"}, 15.0, path);
      }},
 };
 
@@ -839,14 +875,14 @@ TEST(ArchiveSinks, WriteFailuresAndAbandonedFilesFollowOneContract) {
 
 // -------------------------------------------------------- DigitizingSink
 
-TEST(DigitizingSink, MatchesDigitizePackedOverMaterializedTrace) {
+TEST(DigitizingSink, MatchesDigitizeOverMaterializedTrace) {
   const sim::Trace trace = synthetic_trace(500);
   store::DigitizingSink sink({"A", "B", "GFP"}, 15.0);
   stream_trace(trace, sink);
   EXPECT_EQ(sink.sample_count(), 500u);
 
   const core::PackedDigitalData expected =
-      core::digitize_packed(trace, {"A", "B"}, "GFP", 15.0);
+      core::pack(core::digitize(trace, {"A", "B"}, "GFP", 15.0));
   EXPECT_EQ(sink.planes()[0], expected.inputs[0]);
   EXPECT_EQ(sink.planes()[1], expected.inputs[1]);
   EXPECT_EQ(sink.planes()[2], expected.output);
@@ -863,8 +899,9 @@ TEST(DigitizingSink, ReplayFromSpillMatchesDirectDigitization) {
   reader.replay(digitizer);
 
   EXPECT_EQ(digitizer.planes()[0],
-            core::adc_packed(trace.series("GFP"), 10.0));
-  EXPECT_EQ(digitizer.planes()[1], core::adc_packed(trace.series("A"), 10.0));
+            logic::BitStream::pack(core::adc(trace.series("GFP"), 10.0)));
+  EXPECT_EQ(digitizer.planes()[1],
+            logic::BitStream::pack(core::adc(trace.series("A"), 10.0)));
 }
 
 TEST(DigitizingSink, EveryDeliveryMatchesComparisonOnSpecialValues) {
@@ -1019,15 +1056,14 @@ TEST(AppendBlock, SpillSinkWritesIdenticalBytesAcrossBlockSizes) {
 TEST(AppendBlock, BitPlaneSpillWritesIdenticalBytesAcrossBlockSizes) {
   const sim::Trace trace = synthetic_trace(333);
   const fs::path row_path = temp_path("planes_rows.glvt");
-  store::DigitizingSink rows({"A", "GFP"}, 15.0, plane_spill(row_path));
+  PlaneArchiveSink rows({"A", "GFP"}, 15.0, row_path);
   stream_trace(trace, rows);
   const std::string row_bytes = read_file_bytes(row_path);
 
   for (std::size_t v = 0; v < kBlockSlicings.size(); ++v) {
     const fs::path block_path =
         temp_path("planes_blocks_" + std::to_string(v) + ".glvt");
-    store::DigitizingSink blocks({"A", "GFP"}, 15.0,
-                                 plane_spill(block_path));
+    PlaneArchiveSink blocks({"A", "GFP"}, 15.0, block_path);
     stream_trace_blocks(trace, blocks, kBlockSlicings[v]);
     EXPECT_EQ(read_file_bytes(block_path), row_bytes) << "slicing " << v;
   }
@@ -1269,19 +1305,19 @@ TEST(AppendHold, DigitizingSinkMatchesBlocksInPlanesAndArchiveBytes) {
   // The sink-free oracle: the ADC over the materialized trace.
   store::MemorySink memory;
   stream_holds(runs, memory, HoldDelivery::kBlocks, 0);
-  const core::PackedDigitalData expected =
-      core::digitize_packed(memory.trace(), {"A", "B"}, "GFP", kHoldThreshold);
+  const core::PackedDigitalData expected = core::pack(
+      core::digitize(memory.trace(), {"A", "B"}, "GFP", kHoldThreshold));
   const fs::path block_path = temp_path("hold_planes_blocks.glvt");
-  store::DigitizingSink blocks(tracked, kHoldThreshold,
-                               plane_spill(block_path));
+  PlaneArchiveSink blocks(tracked, kHoldThreshold, block_path);
   stream_holds(runs, blocks, HoldDelivery::kBlocks, 0);
   const std::string block_bytes = read_file_bytes(block_path);
   for (const HoldDelivery delivery : kHoldDeliveries) {
     const std::string tag = std::to_string(static_cast<int>(delivery));
     const fs::path path = temp_path("hold_planes_" + tag + ".glvt");
-    store::DigitizingSink holds(tracked, kHoldThreshold, plane_spill(path));
+    PlaneArchiveSink holds(tracked, kHoldThreshold, path);
     stream_holds(runs, holds, delivery, 76);
-    ASSERT_EQ(holds.sample_count(), memory.trace().sample_count());
+    ASSERT_EQ(holds.digitizer().sample_count(),
+              memory.trace().sample_count());
     EXPECT_EQ(holds.planes()[0], expected.inputs[0]) << "delivery " << tag;
     EXPECT_EQ(holds.planes()[1], expected.inputs[1]) << "delivery " << tag;
     EXPECT_EQ(holds.planes()[2], expected.output) << "delivery " << tag;
@@ -1657,8 +1693,8 @@ TEST(Acquisition, EverySpellingMatchesTheTracePathOracle) {
       } else {
         const core::PackedDigitalData planes = core::load_digitized(
             reader, spec.input_ids.size(), config.threshold);
-        const core::PackedDigitalData want = core::digitize_packed(
-            oracle.trace, spec.input_ids, spec.output_id, config.threshold);
+        const core::PackedDigitalData want = core::pack(core::digitize(
+            oracle.trace, spec.input_ids, spec.output_id, config.threshold));
         EXPECT_EQ(planes.inputs, want.inputs);
         EXPECT_EQ(planes.output, want.output);
       }
