@@ -85,7 +85,7 @@ Acquisition run_pass(const circuits::CircuitSpec& spec,
             .threshold = config.threshold,
             .seed = config.seed,
             .sampling_period = config.sampling_period});
-    planes_archive->open(plane_names(spec));
+    planes_archive->open(digitizer.species_ids());
   }
   std::optional<store::SpillSink> analog;
   if (config.sink == store::SinkKind::kSpill) {

@@ -24,7 +24,7 @@ struct Acquisition {
   /// The digitized planes, in plane_names() order.
   PackedDigitalData planes;
   sim::InputSchedule schedule;    ///< the sweep that produced them
-  double simulate_seconds = 0.0;  ///< wall time of the sweep (SSA + sinks)
+  double simulate_seconds = 0.0;  ///< sweep wall time: SSA, sinks, archive
 };
 
 /// Reject a config no acquisition can run, before anything simulates:

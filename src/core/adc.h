@@ -98,8 +98,8 @@ struct PackedDigitalData {
 /// (inputs MSB-first, then the output). `threshold` must bit-match the
 /// file header's recorded ThVAL: planes digitized at a different threshold
 /// are a different experiment, so a mismatch throws glva::InvalidArgument
-/// rather than silently relabeling them. Throws glva::StorageError for an analog file
-/// and glva::InvalidArgument when the file tracks fewer than
+/// rather than silently relabeling them. Throws glva::StorageError for an
+/// analog file and glva::InvalidArgument when the file tracks fewer than
 /// input_count + 1 species.
 [[nodiscard]] PackedDigitalData load_digitized(store::SpillReader& reader,
                                                std::size_t input_count,

@@ -8,6 +8,32 @@
 
 namespace glva::store {
 
+namespace {
+
+constexpr std::size_t kWordBits = logic::BitStream::kWordBits;
+
+/// Where n samples land after `samples` samples: the first `head` top up
+/// the pending word from bit `bit`; when that completes it (`word_done`),
+/// `words` whole words follow and the last `tail` samples open the next
+/// pending word.
+struct Split {
+  std::size_t bit;
+  std::size_t head;
+  bool word_done;
+  std::size_t words;
+  std::size_t tail;
+};
+
+Split split(std::size_t samples, std::size_t n) {
+  const std::size_t bit = samples % kWordBits;
+  const std::size_t head = std::min(kWordBits - bit, n);
+  const bool word_done = bit + head == kWordBits;
+  return {bit, head, word_done, word_done ? (n - head) / kWordBits : 0,
+          word_done ? (n - head) % kWordBits : 0};
+}
+
+}  // namespace
+
 DigitizingSink::DigitizingSink(std::vector<std::string> species_ids,
                                double threshold)
     : species_ids_(std::move(species_ids)), threshold_(threshold) {
@@ -43,20 +69,12 @@ void DigitizingSink::begin(const std::vector<std::string>& species_names) {
   tail_committed_ = false;
 }
 
-void DigitizingSink::commit_words() {
-  for (std::size_t i = 0; i < planes_.size(); ++i) {
-    planes_[i].append_word(pending_[i]);
-    pending_[i] = 0;
-  }
-}
-
 void DigitizingSink::append(double time, const std::vector<double>& values) {
   append_hold(std::span<const double>(&time, 1), values);
 }
 
 void DigitizingSink::append_hold(std::span<const double> times,
                                  const std::vector<double>& values) {
-  constexpr std::size_t kWordBits = logic::BitStream::kWordBits;
   if (values.size() < min_row_width_) {
     throw InvalidArgument(
         "DigitizingSink::append_hold: value row narrower than the tracked "
@@ -64,13 +82,7 @@ void DigitizingSink::append_hold(std::span<const double> times,
   }
   const std::size_t n = times.size();
   if (n == 0) return;
-  // The hold tops up the pending word; when that completes it, whole
-  // words follow and the tail opens the next pending word.
-  const std::size_t bit = samples_ % kWordBits;
-  const std::size_t head = std::min(kWordBits - bit, n);
-  const bool word_done = bit + head == kWordBits;
-  const std::size_t words = word_done ? (n - head) / kWordBits : 0;
-  const std::size_t tail = word_done ? (n - head) % kWordBits : 0;
+  const Split at = split(samples_, n);
   // The low m bits of fill, for m in [0, 64].
   const auto low_bits = [](std::uint64_t fill, std::size_t m) {
     return m == 0 ? std::uint64_t{0} : fill >> (kWordBits - m);
@@ -78,11 +90,11 @@ void DigitizingSink::append_hold(std::span<const double> times,
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     const std::uint64_t fill =
         values[columns_[i]] >= threshold_ ? ~std::uint64_t{0} : 0;
-    pending_[i] |= low_bits(fill, head) << bit;
-    if (!word_done) continue;
+    pending_[i] |= low_bits(fill, at.head) << at.bit;
+    if (!at.word_done) continue;
     planes_[i].append_word(pending_[i]);
-    for (std::size_t w = 0; w < words; ++w) planes_[i].append_word(fill);
-    pending_[i] = low_bits(fill, tail);
+    for (std::size_t w = 0; w < at.words; ++w) planes_[i].append_word(fill);
+    pending_[i] = low_bits(fill, at.tail);
   }
   samples_ += n;
 }
@@ -90,7 +102,6 @@ void DigitizingSink::append_hold(std::span<const double> times,
 void DigitizingSink::append_block(
     std::span<const double> times,
     std::span<const std::span<const double>> series) {
-  constexpr std::size_t kWordBits = logic::BitStream::kWordBits;
   if (series.size() < min_row_width_) {
     throw InvalidArgument(
         "DigitizingSink::append_block: block narrower than the tracked "
@@ -103,26 +114,29 @@ void DigitizingSink::append_block(
           "column");
     }
   }
-  // Each step fills the pending word up to the next word boundary (or
-  // the block end) and commits it there, as the hold path does.
   const std::size_t n = times.size();
-  for (std::size_t k = 0; k < n;) {
-    const std::size_t bit = samples_ % kWordBits;
-    const std::size_t m = std::min(kWordBits - bit, n - k);
-    for (std::size_t i = 0; i < columns_.size(); ++i) {
-      pending_[i] |= logic::pack_threshold_bits(series[columns_[i]].data() + k,
-                                                m, threshold_)
-                     << bit;
+  if (n == 0) return;
+  // Split like a hold, but each word packs its own 64 comparisons.
+  const Split at = split(samples_, n);
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    const double* next = series[columns_[i]].data();
+    pending_[i] |= logic::pack_threshold_bits(next, at.head, threshold_)
+                   << at.bit;
+    if (!at.word_done) continue;
+    next += at.head;
+    planes_[i].append_word(pending_[i]);
+    for (std::size_t w = 0; w < at.words; ++w, next += kWordBits) {
+      planes_[i].append_word(
+          logic::pack_threshold_bits(next, kWordBits, threshold_));
     }
-    samples_ += m;
-    k += m;
-    if (samples_ % kWordBits == 0) commit_words();
+    pending_[i] = logic::pack_threshold_bits(next, at.tail, threshold_);
   }
+  samples_ += n;
 }
 
 void DigitizingSink::finish() {
   if (tail_committed_) return;
-  const std::size_t rem = samples_ % logic::BitStream::kWordBits;
+  const std::size_t rem = samples_ % kWordBits;
   if (rem != 0) {
     for (std::size_t i = 0; i < planes_.size(); ++i) {
       planes_[i].append_bits(pending_[i], rem);

@@ -24,10 +24,11 @@ namespace glva::store {
 ///
 /// Bits are word-buffered: each plane accumulates 64 comparisons in a
 /// pending register and commits whole BitStream words, one store per 64
-/// samples instead of a read-modify-write per bit. `append_block` fills
-/// the pending word from the column spans up to each word boundary, and
+/// samples instead of a read-modify-write per bit. Both bulk deliveries
+/// top up the pending word, commit whole words and leave a tail pending:
 /// `append_hold` compares each tracked value once and fills the run's bits
-/// as masks and whole words. The partial tail word is committed by
+/// as masks, and `append_block` packs each word's comparisons straight
+/// from the column spans. The partial tail word is committed by
 /// `finish()`, so planes are complete only after the stream is finished.
 /// The sink writes no file; `glvt::write_planes` archives the finished
 /// planes.
@@ -45,8 +46,9 @@ public:
   /// One-sample `append_hold`.
   void append(double time, const std::vector<double>& values) override;
 
-  /// Block path: packs each tracked column straight from the spans, up to
-  /// each word boundary at a time, bit-identical to the row path. Throws
+  /// Block path: packs each tracked column straight from the spans into
+  /// the pending word, whole words and a tail, as a hold fills them —
+  /// bit-identical to the row path. Throws
   /// glva::InvalidArgument on a block narrower than the tracked columns or
   /// a column whose length differs from the time column's.
   void append_block(std::span<const double> times,
@@ -80,10 +82,6 @@ public:
   [[nodiscard]] logic::BitStream take_plane(std::size_t i);
 
 private:
-  /// Commit every plane's pending word (precondition: samples_ % 64 == 0
-  /// and 64 pending bits).
-  void commit_words();
-
   std::vector<std::string> species_ids_;
   double threshold_;
   std::vector<std::size_t> columns_;  ///< tracked id -> species column

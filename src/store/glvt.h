@@ -12,7 +12,7 @@
 #include "logic/bit_stream.h"
 
 /// The `.glvt` ("GLVA trace") on-disk format: its section codecs, the one
-/// writer both archive sinks share (`FileWriter`, below), and the layout
+/// writer both archives share (`FileWriter`, below), and the layout
 /// `SpillReader` decodes. One file is one uniformly sampled
 /// multi-species trace, stored as a fixed header followed by fixed-capacity
 /// chunks and a trailing chunk index:
