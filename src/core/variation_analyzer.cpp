@@ -7,6 +7,15 @@
 
 namespace glva::core {
 
+void estimate_fov(VariationAnalysis& analysis) {
+  for (VariationRecord& record : analysis.records) {
+    record.fov_est = record.case_count > 0
+                         ? static_cast<double>(record.variation_count) /
+                               static_cast<double>(record.case_count)
+                         : 0.0;
+  }
+}
+
 VariationAnalysis analyze_variation(const CaseAnalysis& cases) {
   VariationAnalysis analysis;
   analysis.input_count = cases.input_count;
@@ -26,11 +35,8 @@ VariationAnalysis analyze_variation(const CaseAnalysis& cases) {
       previous = bit;
       first = false;
     }
-    out.fov_est = record.case_count > 0
-                      ? static_cast<double>(out.variation_count) /
-                            static_cast<double>(record.case_count)
-                      : 0.0;
   }
+  estimate_fov(analysis);
   return analysis;
 }
 
@@ -63,13 +69,7 @@ VariationAnalysis analyze_runs(const PackedDigitalData& data) {
     }
     last = output[end - 1] ? 1 : 0;
   }
-
-  for (VariationRecord& record : analysis.records) {
-    record.fov_est = record.case_count > 0
-                         ? static_cast<double>(record.variation_count) /
-                               static_cast<double>(record.case_count)
-                         : 0.0;
-  }
+  estimate_fov(analysis);
   return analysis;
 }
 

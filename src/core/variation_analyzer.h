@@ -33,6 +33,11 @@ struct VariationAnalysis {
   std::vector<VariationRecord> records;  ///< indexed by combination
 };
 
+/// Fill every record's fov_est = O_Var / Case_I (equation (1)), or 0 where
+/// Case_I is 0: the last step of analyze_variation, analyze_runs and
+/// core::RecordSink, so all three divide the same integers the same way.
+void estimate_fov(VariationAnalysis& analysis);
+
 /// Count highs and transitions within each per-combination output stream —
 /// the reference implementation, one pass over every logged bit.
 /// Transitions are counted inside the logged stream exactly as the paper's

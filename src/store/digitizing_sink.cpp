@@ -45,24 +45,26 @@ DigitizingSink::DigitizingSink(std::vector<std::string> species_ids,
   }
 }
 
-void DigitizingSink::begin(const std::vector<std::string>& species_names) {
-  columns_.clear();
-  columns_.reserve(species_ids_.size());
-  min_row_width_ = 0;
-  for (const auto& id : species_ids_) {
-    std::size_t column = species_names.size();
-    for (std::size_t s = 0; s < species_names.size(); ++s) {
-      if (species_names[s] == id) {
-        column = s;
-        break;
-      }
-    }
-    if (column == species_names.size()) {
+std::vector<std::size_t> resolve_columns(
+    const std::vector<std::string>& species_ids,
+    const std::vector<std::string>& species_names) {
+  std::vector<std::size_t> columns;
+  columns.reserve(species_ids.size());
+  for (const auto& id : species_ids) {
+    const auto found =
+        std::find(species_names.begin(), species_names.end(), id);
+    if (found == species_names.end()) {
       throw InvalidArgument("DigitizingSink: unknown species '" + id + "'");
     }
-    columns_.push_back(column);
-    min_row_width_ = std::max(min_row_width_, column + 1);
+    columns.push_back(
+        static_cast<std::size_t>(found - species_names.begin()));
   }
+  return columns;
+}
+
+void DigitizingSink::begin(const std::vector<std::string>& species_names) {
+  columns_ = resolve_columns(species_ids_, species_names);
+  min_row_width_ = *std::max_element(columns_.begin(), columns_.end()) + 1;
   planes_.assign(species_ids_.size(), logic::BitStream());
   pending_.assign(species_ids_.size(), 0);
   samples_ = 0;

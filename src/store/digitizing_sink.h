@@ -32,6 +32,14 @@ namespace glva::store {
 /// `finish()`, so planes are complete only after the stream is finished.
 /// The sink writes no file; `glvt::write_planes` archives the finished
 /// planes.
+/// The ADC's species resolution, shared by DigitizingSink::begin and
+/// core::RecordSink::begin: the column of each of `species_ids` in a
+/// stream's `species_names` (its first match), in `species_ids` order.
+/// Throws glva::InvalidArgument naming the first id the stream lacks.
+[[nodiscard]] std::vector<std::size_t> resolve_columns(
+    const std::vector<std::string>& species_ids,
+    const std::vector<std::string>& species_names);
+
 class DigitizingSink final : public TraceSink {
 public:
   /// Track `species_ids` (any order, duplicates allowed — each entry gets
@@ -39,8 +47,8 @@ public:
   /// throws glva::InvalidArgument otherwise).
   DigitizingSink(std::vector<std::string> species_ids, double threshold);
 
-  /// Resolves the tracked ids against the stream's species columns;
-  /// throws glva::InvalidArgument for an unknown id.
+  /// Resolves the tracked ids against the stream's species columns
+  /// (resolve_columns); throws glva::InvalidArgument for an unknown id.
   void begin(const std::vector<std::string>& species_names) override;
 
   /// One-sample `append_hold`.

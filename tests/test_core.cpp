@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "circuits/circuit_repository.h"
 #include "core/acquire.h"
@@ -15,12 +20,15 @@
 #include "core/case_analyzer.h"
 #include "core/experiment.h"
 #include "core/logic_analyzer.h"
+#include "core/record_sink.h"
 #include "core/report.h"
 #include "core/threshold_sweep.h"
 #include "core/variation_analyzer.h"
 #include "core/verifier.h"
+#include "fuzz_util.h"
 #include "sim/rng.h"
 #include "sim/trace.h"
+#include "store/digitizing_sink.h"
 #include "util/errors.h"
 
 namespace {
@@ -136,6 +144,246 @@ TEST(VariationAnalyzer, SingleGlitchHasTwoVariations) {
   EXPECT_EQ(analysis.records[0].high_count, 3u);
   EXPECT_EQ(analysis.records[0].variation_count, 2u);
   EXPECT_NEAR(analysis.records[0].fov_est, 2.0 / 1850.0, 1e-12);
+}
+
+// ------------------------------------------------------------ record sink
+
+/// One delivery of the record-sink fuzz: `length` samples of one value
+/// row, as one hold, as rows, or as one column block.
+struct RecordDelivery {
+  enum class Call { kHold, kRows, kBlock };
+  Call call = Call::kHold;
+  std::size_t length = 0;
+  std::vector<double> values;
+};
+
+constexpr double kRecordThreshold = 15.0;
+
+/// The tracked ids: inputs I0 (MSB) .. I<N-1>, then OUT.
+std::vector<std::string> record_ids(std::size_t inputs) {
+  std::vector<std::string> ids;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    ids.push_back(std::string("I").append(std::to_string(i)));
+  }
+  ids.push_back("OUT");
+  return ids;
+}
+
+/// The stream's columns: a decoy, the output, then the inputs in reverse,
+/// so each tracked id resolves to a column of its own.
+std::vector<std::string> record_stream_names(std::size_t inputs) {
+  std::vector<std::string> names = {"X", "OUT"};
+  for (std::size_t i = inputs; i-- > 0;) {
+    names.push_back(std::string("I").append(std::to_string(i)));
+  }
+  return names;
+}
+
+/// Draws value rows from testutil::special_doubles, split by the ADC's
+/// `>=` into the values that read 1 and those that read 0 (NaN among them).
+class RecordRows {
+public:
+  RecordRows(std::size_t inputs, sim::Rng& rng) : inputs_(inputs), rng_(rng) {
+    for (const double v :
+         testutil::special_doubles(4096, kRecordThreshold, rng_)) {
+      (v >= kRecordThreshold ? highs_ : lows_).push_back(v);
+    }
+  }
+
+  /// A row carrying `combination` (input 0 = MSB) and output `bit`.
+  std::vector<double> row(std::size_t combination, bool bit) {
+    std::vector<double> values(2 + inputs_);
+    values[0] = pick(rng_.below(2) == 1);
+    values[1] = pick(bit);
+    for (std::size_t i = 0; i < inputs_; ++i) {
+      values[2 + (inputs_ - 1 - i)] =
+          pick(((combination >> (inputs_ - 1 - i)) & 1U) != 0);
+    }
+    return values;
+  }
+
+private:
+  double pick(bool high) {
+    const std::vector<double>& from = high ? highs_ : lows_;
+    return from[rng_.below(from.size())];
+  }
+
+  std::size_t inputs_;
+  sim::Rng& rng_;
+  std::vector<double> highs_;
+  std::vector<double> lows_;
+};
+
+void deliver_records(const std::vector<RecordDelivery>& deliveries,
+                     std::size_t inputs, store::TraceSink& sink) {
+  sink.begin(record_stream_names(inputs));
+  std::size_t position = 0;
+  std::vector<double> times;
+  for (const RecordDelivery& d : deliveries) {
+    times.resize(d.length);
+    for (std::size_t i = 0; i < d.length; ++i) {
+      times[i] = static_cast<double>(position + i);
+    }
+    switch (d.call) {
+      case RecordDelivery::Call::kHold:
+        sink.append_hold(times, d.values);
+        break;
+      case RecordDelivery::Call::kRows:
+        for (const double time : times) sink.append(time, d.values);
+        break;
+      case RecordDelivery::Call::kBlock: {
+        std::vector<std::vector<double>> columns;
+        std::vector<std::span<const double>> spans;
+        for (const double v : d.values) columns.emplace_back(d.length, v);
+        for (const auto& column : columns) spans.emplace_back(column);
+        sink.append_block(times, spans);
+        break;
+      }
+    }
+    position += d.length;
+  }
+  sink.finish();
+}
+
+/// Holds of 0, 1, 63, 64, 65 and 4096 samples, each after a pad of 0-63
+/// samples that moves it to a random word offset. Combinations come from a
+/// pool of three (0, 2^N - 1 and one more), so each is regularly resumed
+/// after a gap, with the same output bit or a flipped one. Every call kind
+/// delivers some of them.
+std::vector<RecordDelivery> random_record_deliveries(std::size_t inputs,
+                                                     std::size_t holds,
+                                                     sim::Rng& rng) {
+  constexpr std::size_t kLengths[] = {0, 1, 63, 64, 65, 4096};
+  const std::size_t combinations = std::size_t{1} << inputs;
+  const std::size_t pool[] = {0, combinations - 1, rng.below(combinations)};
+  RecordRows rows(inputs, rng);
+  const auto call = [&] {
+    return static_cast<RecordDelivery::Call>(rng.below(3));
+  };
+  std::vector<RecordDelivery> deliveries;
+  for (std::size_t h = 0; h < holds; ++h) {
+    if (rng.below(2) == 0) {
+      deliveries.push_back({call(), rng.below(64),
+                            rows.row(pool[rng.below(3)], rng.below(2) == 1)});
+    }
+    deliveries.push_back({call(), kLengths[rng.below(std::size(kLengths))],
+                          rows.row(pool[rng.below(3)], rng.below(2) == 1)});
+  }
+  return deliveries;
+}
+
+void expect_same_records(const VariationAnalysis& got,
+                         const VariationAnalysis& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.input_count, want.input_count) << label;
+  ASSERT_EQ(got.records.size(), want.records.size()) << label;
+  for (std::size_t c = 0; c < got.records.size(); ++c) {
+    const VariationRecord& g = got.records[c];
+    const VariationRecord& w = want.records[c];
+    ASSERT_EQ(g.combination, w.combination) << label << ", combination " << c;
+    ASSERT_EQ(g.case_count, w.case_count) << label << ", combination " << c;
+    ASSERT_EQ(g.high_count, w.high_count) << label << ", combination " << c;
+    ASSERT_EQ(g.variation_count, w.variation_count)
+        << label << ", combination " << c;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.fov_est),
+              std::bit_cast<std::uint64_t>(w.fov_est))
+        << label << ", combination " << c;
+  }
+}
+
+/// The sink's counts against both plane oracles fed the same deliveries:
+/// analyze_runs over a DigitizingSink's planes, and the reference stages
+/// over the same planes unpacked.
+void expect_records_match_oracles(const std::vector<RecordDelivery>& deliveries,
+                                  std::size_t inputs, const std::string& label) {
+  std::vector<std::string> input_ids = record_ids(inputs);
+  input_ids.pop_back();
+  RecordSink records(input_ids, "OUT", kRecordThreshold);
+  deliver_records(deliveries, inputs, records);
+  store::DigitizingSink digitizer(record_ids(inputs), kRecordThreshold);
+  deliver_records(deliveries, inputs, digitizer);
+  const PackedDigitalData planes = take_digitized(digitizer, inputs);
+
+  expect_same_records(records.analysis(), analyze_runs(planes),
+                      label + " vs analyze_runs");
+  expect_same_records(records.analysis(),
+                      analyze_variation(analyze_cases(unpack(planes))),
+                      label + " vs the reference stages");
+}
+
+TEST(RecordSink, HoldsMatchThePlaneOraclesOnSpecialValues) {
+  sim::Rng rng(2601);
+  for (std::size_t inputs = 1; inputs <= 8; ++inputs) {
+    for (int round = 0; round < 6; ++round) {
+      expect_records_match_oracles(
+          random_record_deliveries(inputs, 40, rng), inputs,
+          "N " + std::to_string(inputs) + ", round " + std::to_string(round));
+    }
+  }
+  // Past 8 inputs only the edge cases: each record table has 2^N entries,
+  // and the wider ids change nothing in the per-hold arithmetic.
+  for (std::size_t inputs = 9; inputs <= 16; ++inputs) {
+    expect_records_match_oracles(random_record_deliveries(inputs, 8, rng),
+                                 inputs, "N " + std::to_string(inputs));
+  }
+}
+
+TEST(RecordSink, ResumedCombinationsCountTheGapLikeTheCompactedStream) {
+  // Two inputs; combination 1 resumes after a gap with the output bit it
+  // left on, combination 2 with a flipped one. The zero-length holds carry
+  // flipped bits and must log nothing.
+  sim::Rng rng(2602);
+  RecordRows rows(2, rng);
+  using Call = RecordDelivery::Call;
+  const std::vector<RecordDelivery> deliveries = {
+      {Call::kHold, 5, rows.row(1, true)},
+      {Call::kHold, 3, rows.row(2, false)},
+      {Call::kHold, 0, rows.row(1, false)},
+      {Call::kRows, 4, rows.row(1, true)},
+      {Call::kHold, 0, rows.row(2, false)},
+      {Call::kHold, 2, rows.row(2, true)},
+      {Call::kBlock, 0, rows.row(2, false)},
+      {Call::kHold, 1, rows.row(2, true)},
+  };
+  RecordSink records({"I0", "I1"}, "OUT", kRecordThreshold);
+  deliver_records(deliveries, 2, records);
+  const VariationAnalysis& analysis = records.analysis();
+  EXPECT_EQ(analysis.records[1].case_count, 9u);
+  EXPECT_EQ(analysis.records[1].high_count, 9u);
+  EXPECT_EQ(analysis.records[1].variation_count, 0u);
+  EXPECT_EQ(analysis.records[2].case_count, 6u);
+  EXPECT_EQ(analysis.records[2].high_count, 3u);
+  EXPECT_EQ(analysis.records[2].variation_count, 1u);
+  EXPECT_EQ(analysis.records[2].fov_est, 1.0 / 6.0);
+  EXPECT_EQ(analysis.records[0].case_count, 0u);
+  EXPECT_EQ(analysis.records[0].fov_est, 0.0);
+  expect_records_match_oracles(deliveries, 2, "resumed combinations");
+  // Zero-length holds alone leave every record empty.
+  expect_records_match_oracles({{Call::kHold, 0, rows.row(3, true)}}, 2,
+                               "only a zero-length hold");
+}
+
+TEST(RecordSink, ValidatesArguments) {
+  EXPECT_THROW(RecordSink({}, "OUT", 15.0), InvalidArgument);
+  EXPECT_THROW(RecordSink(std::vector<std::string>(17, "A"), "OUT", 15.0),
+               InvalidArgument);
+  EXPECT_THROW(RecordSink({"A"}, "OUT", 0.0), InvalidArgument);
+  EXPECT_THROW(
+      RecordSink({"A"}, "OUT", std::numeric_limits<double>::quiet_NaN()),
+      InvalidArgument);
+  // An unknown id names the species, as the packed ADC does.
+  RecordSink missing({"A"}, "NOPE", 15.0);
+  try {
+    missing.begin({"A", "OUT"});
+    ADD_FAILURE() << "unknown output id accepted";
+  } catch (const InvalidArgument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "DigitizingSink: unknown species 'NOPE'");
+  }
+  RecordSink narrow({"B"}, "OUT", 15.0);
+  narrow.begin({"A", "OUT", "B"});
+  const std::vector<double> times = {0.0};
+  EXPECT_THROW(narrow.append_hold(times, {1.0, 2.0}), InvalidArgument);
 }
 
 // ------------------------------------------------------------ the filters
