@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/record_sink.h"
 #include "obs/trace.h"
 #include "store/digitizing_sink.h"
 #include "store/glvt.h"
@@ -60,10 +61,18 @@ private:
   std::vector<store::TraceSink*> sinks_;
 };
 
-/// One pass of config's sweep: digitize the I/O planes, archive the
-/// replicate as configured, and hand the rows to `trace` too when given.
+/// What a pass's caller consumes: its sinks are chosen from these.
+struct Consumers {
+  bool planes = false;                ///< the digitized planes (acquire)
+  bool records = false;               ///< Algorithm 1's counts
+  store::TraceSink* trace = nullptr;  ///< every row too (simulate_trace)
+};
+
+/// One pass of config's sweep: reduce or digitize what `wants` asks for,
+/// archive the replicate as configured, and hand the rows to `wants.trace`
+/// too when given. A single sink is handed to the lab without a tee.
 Acquisition run_pass(const circuits::CircuitSpec& spec,
-                     const ExperimentConfig& config, store::TraceSink* trace) {
+                     const ExperimentConfig& config, const Consumers& wants) {
   validate(config);
   sim::LabOptions lab_options;
   lab_options.sampling_period = config.sampling_period;
@@ -73,11 +82,20 @@ Acquisition run_pass(const circuits::CircuitSpec& spec,
   lab.declare_inputs(spec.input_ids);
 
   const std::string archive = archive_path(spec, config);
-  store::DigitizingSink digitizer(plane_names(spec), config.threshold);
+  const bool archives_planes =
+      config.sink == store::SinkKind::kDigitize && !archive.empty();
+  std::optional<RecordSink> records;
+  if (wants.records) {
+    records.emplace(spec.input_ids, spec.output_id, config.threshold);
+  }
+  std::optional<store::DigitizingSink> digitizer;
+  if (wants.planes || archives_planes) {
+    digitizer.emplace(plane_names(spec), config.threshold);
+  }
   // The bit-plane archive is written from the finished planes, but opened
   // here, so a bad path fails before anything simulates.
   std::optional<store::glvt::FileWriter> planes_archive;
-  if (config.sink == store::SinkKind::kDigitize && !archive.empty()) {
+  if (archives_planes) {
     planes_archive.emplace(
         archive, "bit-plane archive",
         store::glvt::FileWriter::Header{
@@ -85,7 +103,7 @@ Acquisition run_pass(const circuits::CircuitSpec& spec,
             .threshold = config.threshold,
             .seed = config.seed,
             .sampling_period = config.sampling_period});
-    planes_archive->open(digitizer.species_ids());
+    planes_archive->open(digitizer->species_ids());
   }
   std::optional<store::SpillSink> analog;
   if (config.sink == store::SinkKind::kSpill) {
@@ -94,23 +112,29 @@ Acquisition run_pass(const circuits::CircuitSpec& spec,
     options.sampling_period = config.sampling_period;
     analog.emplace(archive, options);
   }
-  std::vector<store::TraceSink*> sinks{&digitizer};
+  std::vector<store::TraceSink*> sinks;
+  if (records) sinks.push_back(&*records);
+  if (digitizer) sinks.push_back(&*digitizer);
   if (analog) sinks.push_back(&*analog);
-  if (trace != nullptr) sinks.push_back(trace);
-  TeeSink tee(std::move(sinks));
+  if (wants.trace != nullptr) sinks.push_back(wants.trace);
+  TeeSink tee(sinks);
+  store::TraceSink& sink = sinks.size() == 1 ? *sinks.front() : tee;
 
   Acquisition acquired;
   const auto start = std::chrono::steady_clock::now();
   {
     GLVA_SPAN("simulate");
     acquired.schedule = lab.run_combination_sweep_into(
-        config.total_time, config.high_level(), tee);
+        config.total_time, config.high_level(), sink);
     if (planes_archive) {
-      store::glvt::write_planes(*planes_archive, digitizer.planes());
+      store::glvt::write_planes(*planes_archive, digitizer->planes());
     }
   }
   acquired.simulate_seconds = util::seconds_since(start);
-  acquired.planes = take_digitized(digitizer, spec.input_ids.size());
+  if (wants.planes) {
+    acquired.planes = take_digitized(*digitizer, spec.input_ids.size());
+  }
+  if (records) acquired.variation = records->take();
   return acquired;
 }
 
@@ -143,13 +167,18 @@ std::vector<std::string> plane_names(const circuits::CircuitSpec& spec) {
 
 Acquisition acquire(const circuits::CircuitSpec& spec,
                     const ExperimentConfig& config) {
-  return run_pass(spec, config, nullptr);
+  return run_pass(spec, config, Consumers{.planes = true});
+}
+
+Acquisition acquire_records(const circuits::CircuitSpec& spec,
+                            const ExperimentConfig& config) {
+  return run_pass(spec, config, Consumers{.records = true});
 }
 
 sim::SweepResult simulate_trace(const circuits::CircuitSpec& spec,
                                 const ExperimentConfig& config) {
   store::MemorySink memory;
-  Acquisition acquired = run_pass(spec, config, &memory);
+  Acquisition acquired = run_pass(spec, config, Consumers{.trace = &memory});
   return sim::SweepResult{memory.take(), std::move(acquired.schedule)};
 }
 

@@ -11,9 +11,10 @@
 ///
 /// `analyze_cases` is the reference implementation: one branch per
 /// sample, with the per-combination `vector<bool>` streams materialized.
-/// Production counts Case_I along the input runs instead
-/// (`core::analyze_runs` in variation_analyzer.h); the two are pinned
-/// equal by the differential fuzz in `tests/test_bitstream.cpp`.
+/// Production counts Case_I per hold (`core::RecordSink`), and the trace
+/// path along the input runs (`core::analyze_runs` in
+/// variation_analyzer.h); the differential fuzzes in
+/// `tests/test_bitstream.cpp` and `tests/test_core.cpp` pin them equal.
 namespace glva::core {
 
 /// Per-input-combination observation record.

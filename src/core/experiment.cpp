@@ -38,11 +38,11 @@ ExperimentResult analyzed(const circuits::CircuitSpec& spec,
 
 ExperimentResult run_experiment(const circuits::CircuitSpec& spec,
                                 const ExperimentConfig& config) {
-  Acquisition acquired = acquire(spec, config);
+  Acquisition acquired = acquire_records(spec, config);
   ExperimentResult result =
       analyzed(spec, config, [&](const LogicAnalyzer& analyzer) {
-        return analyzer.analyze_packed(acquired.planes, spec.input_ids,
-                                       spec.output_id);
+        return analyzer.analyze_records(std::move(acquired.variation),
+                                        spec.input_ids, spec.output_id);
       });
   result.schedule = std::move(acquired.schedule);
   result.simulate_seconds = acquired.simulate_seconds;

@@ -35,8 +35,8 @@ struct ExperimentConfig {
   /// What an acquisition archives under `spill_dir` (see store::SinkKind
   /// and docs/STORAGE.md): kMemory nothing, kSpill the analog rows (a
   /// SpillSink .glvt), kDigitize the bit-planes (a v2 kBits .glvt that
-  /// core::load_digitized replays into analyze_packed). Analysis always
-  /// runs on the digitized planes, so the choice never changes a result.
+  /// core::load_digitized replays into analyze_packed). Analysis never
+  /// reads the archive, so the choice never changes a result.
   store::SinkKind sink = store::SinkKind::kMemory;
   /// Directory for the per-replicate .glvt archives; required when
   /// sink == kSpill, ignored under kMemory.
@@ -51,8 +51,9 @@ struct ExperimentConfig {
 };
 
 /// Everything one experiment produces. The samples themselves are not
-/// kept: analysis runs on the digitized planes of core::acquire, and
-/// core::simulate_trace draws the analog trace for code that needs it.
+/// kept: analysis runs on the counts core::acquire_records reduces from
+/// the holds, and core::simulate_trace draws the analog trace for code
+/// that needs it.
 struct ExperimentResult {
   std::string circuit_name;
   ExperimentConfig config;
@@ -63,11 +64,12 @@ struct ExperimentResult {
   double analyze_seconds = 0.0;    ///< wall time of Algorithm 1
 };
 
-/// Run the full pipeline on a circuit: core::acquire the digitized planes
-/// of one sweep over all 2^N input combinations (total_time split evenly
-/// across phases), extract the logic with LogicAnalyzer::analyze_packed,
-/// and verify it against spec.expected. Throws what core::acquire throws,
-/// plus glva::InvalidArgument for invalid analyzer parameters.
+/// Run the full pipeline on a circuit: core::acquire_records reduces
+/// Algorithm 1's counts from one sweep over all 2^N input combinations
+/// (total_time split evenly across phases), LogicAnalyzer::analyze_records
+/// extracts the logic, and it is verified against spec.expected. Throws
+/// what core::acquire_records throws, plus glva::InvalidArgument for
+/// invalid analyzer parameters.
 [[nodiscard]] ExperimentResult run_experiment(const circuits::CircuitSpec& spec,
                                               const ExperimentConfig& config);
 

@@ -1,5 +1,7 @@
 #include "core/logic_analyzer.h"
 
+#include <utility>
+
 #include "util/errors.h"
 
 namespace glva::core {
@@ -22,17 +24,17 @@ ExtractionResult LogicAnalyzer::analyze(
       input_ids, output_id);
 }
 
-ExtractionResult LogicAnalyzer::analyze_packed(
-    const PackedDigitalData& data, std::vector<std::string> input_names,
+ExtractionResult LogicAnalyzer::analyze_records(
+    VariationAnalysis variation, std::vector<std::string> input_names,
     std::string output_name) const {
   ExtractionResult result;
-  result.input_count = data.input_count();
+  result.input_count = variation.input_count;
   result.input_names = input_names;
   result.output_name = std::move(output_name);
   result.config = config_;
 
-  // Lines 5 and 6: Case_I, HIGH_O and O_Var along the input runs.
-  result.variation = analyze_runs(data);
+  // Line 5's Case_I, as reduced with lines 4 and 6.
+  result.variation = std::move(variation);
   result.cases.input_count = result.input_count;
   result.cases.cases.resize(result.variation.records.size());
   for (std::size_t c = 0; c < result.cases.cases.size(); ++c) {
@@ -45,22 +47,22 @@ ExtractionResult LogicAnalyzer::analyze_packed(
   return result;
 }
 
+ExtractionResult LogicAnalyzer::analyze_packed(
+    const PackedDigitalData& data, std::vector<std::string> input_names,
+    std::string output_name) const {
+  // Lines 5 and 6: Case_I, HIGH_O and O_Var along the input runs.
+  return analyze_records(analyze_runs(data), std::move(input_names),
+                         std::move(output_name));
+}
+
 ExtractionResult LogicAnalyzer::analyze_digital(
     const DigitalData& data, std::vector<std::string> input_names,
     std::string output_name) const {
-  ExtractionResult result;
-  result.input_count = data.input_count();
-  result.input_names = input_names;
-  result.output_name = std::move(output_name);
-  result.config = config_;
-
-  // Line 5: CaseAnalyzer.
-  result.cases = analyze_cases(data);
-  // Line 6: VariationAnalyzer.
-  result.variation = analyze_variation(result.cases);
-  // Line 7: ConstBoolExpr (filters, expression, PFoBE).
-  result.construction = construct_bool_expr(result.variation, config_.fov_ud,
-                                            std::move(input_names));
+  // Line 5: CaseAnalyzer, then line 6: VariationAnalyzer.
+  CaseAnalysis cases = analyze_cases(data);
+  ExtractionResult result = analyze_records(
+      analyze_variation(cases), std::move(input_names), std::move(output_name));
+  result.cases = std::move(cases);  // with the logged output streams
   return result;
 }
 

@@ -12,8 +12,10 @@
 /// Algorithm 1 — the paper's logic analysis and verification procedure.
 /// Wires the sub-procedures in order: ADC → CaseAnalyzer →
 /// VariationAnalyzer → ConstBoolExpr, over user-selected input and output
-/// species. Production runs the middle two as one pass along the input
-/// runs; the `vector<bool>` stages stay as the test oracle.
+/// species. Production reduces the first three from the sampler's holds
+/// (core::RecordSink) and hands the counts to analyze_records; the
+/// packed planes (analyze_packed) serve the trace path, and the
+/// `vector<bool>` stages stay as the test oracle.
 namespace glva::core {
 
 /// The algorithm's initial parameters (the paper's N, ThVAL, FOV_UD, IS,
@@ -73,9 +75,19 @@ public:
                                          const std::vector<std::string>& input_ids,
                                          const std::string& output_id) const;
 
-  /// The production stages on packed planes: Case_I, HIGH_O and O_Var in
-  /// one pass along the input runs (core::analyze_runs), then
-  /// ConstBoolExpr. `cases` carries the counts with empty output streams.
+  /// Line 7 over counts already reduced: `cases` copies each record's
+  /// Case_I (with empty output streams), then ConstBoolExpr. The
+  /// production entry: core::run_experiment feeds it a core::RecordSink's
+  /// counts, and analyze_packed and analyze_digital end in it.
+  ///
+  /// Throws glva::InvalidArgument unless there is one name per input.
+  [[nodiscard]] ExtractionResult analyze_records(
+      VariationAnalysis variation, std::vector<std::string> input_names,
+      std::string output_name) const;
+
+  /// The trace path's stages on packed planes: Case_I, HIGH_O and O_Var
+  /// in one pass along the input runs (core::analyze_runs), then
+  /// analyze_records.
   ///
   /// Requires one name per input plane; throws glva::InvalidArgument when
   /// the planes have mismatched lengths, there are no inputs, or there are
@@ -85,7 +97,7 @@ public:
       std::string output_name) const;
 
   /// The reference stages on `vector<bool>` streams: analyze_cases, then
-  /// analyze_variation, then ConstBoolExpr. The test oracle of
+  /// analyze_variation, then analyze_records. The test oracle of
   /// analyze_packed, bit-identical to it, and the one entry point that
   /// fills `cases.cases[c].output_stream` (the Figure 2 and 3 benches
   /// render those streams). Same validation as analyze_packed.

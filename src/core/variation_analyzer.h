@@ -11,11 +11,12 @@
 /// 1-to-0" (O_Var).
 ///
 /// It exists in a reference form (a per-bit loop over the CaseAnalyzer's
-/// materialized streams) and the production form `analyze_runs`, which
-/// counts lines 5 and 6 together along the input runs of packed planes.
-/// Both produce bit-identical VariationAnalysis values: HIGH_O, O_Var and
-/// Case_I are integers, and FOV_EST divides the same integers in the same
-/// order.
+/// materialized streams) and the packed form `analyze_runs`, which counts
+/// lines 5 and 6 together along the input runs of packed planes: the
+/// trace path, and the oracle of production's hold reduction
+/// (core::RecordSink). All three produce bit-identical VariationAnalysis
+/// values: HIGH_O, O_Var and Case_I are integers, and FOV_EST divides the
+/// same integers in the same order.
 namespace glva::core {
 
 /// Per-combination stability statistics.

@@ -18,8 +18,10 @@ namespace glva::store {
 /// comparison is the ADC's (`value >= threshold`, inclusive; see
 /// `core::adc`), applied to exactly the doubles the memory path would have
 /// stored. Every packed digitization goes through this sink: the sampler's
-/// holds in `core::acquire`, a materialized trace in
-/// `core::digitize_packed`, and an analog archive's replay. The
+/// holds in `core::acquire` (for the property check and the `--sink
+/// digitize` archive), a materialized trace in `core::digitize_packed`,
+/// and an analog archive's replay. Analysis ops build no plane: they
+/// reduce their counts from the holds in `core::RecordSink`. The
 /// `vector<bool>` `core::digitize` is the reference it is tested against.
 ///
 /// Bits are word-buffered: each plane accumulates 64 comparisons in a

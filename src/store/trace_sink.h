@@ -10,8 +10,10 @@
 /// analysis stage sees a single sample: `sim::TraceSampler` pushes every
 /// grid row into a `TraceSink`, and the sink decides what to keep —
 /// everything in RAM (`MemorySink`, the reference path), chunked on disk
-/// (`SpillSink`, the `.glvt` format), or only the digitized bit-planes
-/// (`DigitizingSink`, the fused sampler→ADC path for analysis-only runs).
+/// (`SpillSink`, the `.glvt` format), only the digitized bit-planes
+/// (`DigitizingSink`, the fused sampler→ADC path of the property check),
+/// or only Algorithm 1's per-combination counts (`core::RecordSink`, the
+/// analysis ops).
 /// See `docs/STORAGE.md` for the sink model and the memory budget of
 /// 10^7-sample runs.
 namespace glva::store {
@@ -70,9 +72,10 @@ public:
 
 /// What an experiment archives per replicate under its spill directory
 /// (`ExperimentConfig::sink`, CLI `--sink mem|spill|digitize`). Analysis
-/// always runs on the planes a DigitizingSink produces during the
-/// simulation (core::acquire), so every kind yields bit-identical results;
-/// they differ only in what survives the run on disk.
+/// and the property check always run on what core::acquire reduces or
+/// digitizes during the simulation, never on the archive, so every kind
+/// yields bit-identical results; they differ only in what survives the
+/// run on disk.
 enum class SinkKind {
   kMemory,    ///< archive nothing
   kSpill,     ///< the analog rows, as a chunked .glvt (SpillSink tee)

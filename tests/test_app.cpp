@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "app/commands.h"
 #include "circuits/circuit_repository.h"
 #include "core/acquire.h"
@@ -383,6 +385,46 @@ TEST(Cli, MetricsOutWritesTheSnapshotWhenTheCommandReturns) {
 
   EXPECT_EQ(run({"verify", "myers_not", "--metrics-out"}).code, 2);
   EXPECT_EQ(run({"verify", "myers_not", "--metrics-out="}).code, 2);
+}
+
+TEST(Cli, PlanesAreBuiltOnlyForTheMonitorsAndTheDigitizeArchive) {
+  // Algorithm 1 reduces its counts from the sampler's holds, so verify,
+  // ensemble and sweep digitize no plane; check's monitors and the
+  // --sink digitize archive digitize every grid sample once.
+  if (!glva::obs::metrics_enabled()) GTEST_SKIP() << "metrics compiled out";
+  const std::string spill_dir = ::testing::TempDir() + "glva_test_planes_" +
+                                std::to_string(::getpid());
+  struct Case {
+    std::vector<std::string> args;
+    bool digitizes;
+  };
+  const std::vector<std::string> common = {"--total-time", "400", "--seed",
+                                           "4"};
+  const std::vector<Case> cases = {
+      {{"verify", "myers_not"}, false},
+      {{"ensemble", "myers_not", "--replicates", "3"}, false},
+      {{"sweep", "myers_not"}, false},
+      {{"check", "myers_not", "--property", "G(TetR->F[0,100]!GFP)"}, true},
+      {{"verify", "myers_not", "--sink", "digitize", "--spill-dir",
+        spill_dir},
+       true},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> args = c.args;
+    args.insert(args.end(), common.begin(), common.end());
+    const glva::obs::Snapshot before = glva::obs::snapshot();
+    const auto result = run(args);
+    EXPECT_LE(result.code, 1) << args[0] << ": " << result.err;
+    const glva::obs::Snapshot after = glva::obs::snapshot();
+    const auto delta = [&](const std::string& name) {
+      return counter_value(after, name) - counter_value(before, name);
+    };
+    const std::uint64_t samples = delta("sim.sampler.samples");
+    EXPECT_GT(samples, 0u) << args[0];
+    EXPECT_EQ(delta("store.digitize.samples"), c.digitizes ? samples : 0u)
+        << args[0] << " " << args[2];
+  }
+  std::filesystem::remove_all(spill_dir);
 }
 
 TEST(Cli, GlobalFlagsRefuseMissingAndBadValuesInStrippingOrder) {
