@@ -19,7 +19,10 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "circuits/circuit_repository.h"
 #include "core/acquire.h"
@@ -48,8 +51,32 @@ namespace {
 using namespace glva;
 namespace fs = std::filesystem;
 
+/// This process's own directory in the test temp dir, removed at exit,
+/// so two test_store processes at once (two build trees' ctest on one
+/// machine) never write each other's archives.
+class ProcessTempDir {
+public:
+  ProcessTempDir()
+      : path_(fs::path(::testing::TempDir()) /
+              ("glva_test_store_" + std::to_string(::getpid()))) {
+    fs::create_directories(path_);
+  }
+  ~ProcessTempDir() {
+    std::error_code ignored;
+    fs::remove_all(path_, ignored);
+  }
+  ProcessTempDir(const ProcessTempDir&) = delete;
+  ProcessTempDir& operator=(const ProcessTempDir&) = delete;
+
+  [[nodiscard]] const fs::path& path() const noexcept { return path_; }
+
+private:
+  fs::path path_;
+};
+
 fs::path temp_path(const std::string& name) {
-  return fs::path(::testing::TempDir()) / name;
+  static const ProcessTempDir dir;
+  return dir.path() / name;
 }
 
 /// Stream a materialized trace through any sink, row by row — the same
@@ -1734,8 +1761,7 @@ TEST(ExperimentSinks, EnsembleSpillIsJobCountInvariantWithPerReplicateFiles) {
   config.total_time = 300.0;
   config.seed = 42;
   config.sink = store::SinkKind::kSpill;
-  config.spill_dir =
-      (fs::path(::testing::TempDir()) / "ensemble_spill").string();
+  config.spill_dir = temp_path("ensemble_spill").string();
 
   const auto serial = core::run_ensemble(spec, config, 3, 1);
   const auto parallel = core::run_ensemble(spec, config, 3, 8);
