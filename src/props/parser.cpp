@@ -1,8 +1,10 @@
 #include "props/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "util/errors.h"
 
@@ -149,52 +151,94 @@ private:
   Token current_;
 };
 
+[[noreturn]] void fail_too_deep(std::size_t column) {
+  fail("nested deeper than " + std::to_string(kMaxPropertyDepth) + " levels",
+       column);
+}
+
+/// A parsed subtree and its depth: the operators on its longest
+/// root-to-atom path.
+struct Parsed {
+  PropertyPtr node;
+  std::size_t depth = 0;
+};
+
+/// `node`, one operator above children whose deepest is `below` deep;
+/// refused at `column` past kMaxPropertyDepth.
+Parsed over(PropertyPtr node, std::size_t below, std::size_t column) {
+  if (below >= kMaxPropertyDepth) fail_too_deep(column);
+  return {std::move(node), below + 1};
+}
+
 class Parser {
 public:
   explicit Parser(const std::string& text) : lexer_(text) {}
 
   PropertyPtr parse() {
-    PropertyPtr p = parse_implies();
+    Parsed p = parse_implies();
     const Token& t = lexer_.peek();
     if (t.kind != TokenKind::kEnd) {
       fail("trailing input after property, starting at " + describe(t),
            t.column);
     }
-    return p;
+    return std::move(p.node);
   }
 
 private:
+  /// One level of the parser's own recursion, held while it lasts;
+  /// refused at `column` past kMaxPropertyDepth.
+  class Nest {
+  public:
+    Nest(std::size_t& depth, std::size_t column) : depth_(depth) {
+      if (depth_ >= kMaxPropertyDepth) fail_too_deep(column);
+      ++depth_;
+    }
+    ~Nest() { --depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+  private:
+    std::size_t& depth_;
+  };
+
   // property := or_expr ('->' property)?   — right-associative.
-  PropertyPtr parse_implies() {
-    PropertyPtr left = parse_or();
+  Parsed parse_implies() {
+    Parsed left = parse_or();
     if (lexer_.peek().kind == TokenKind::kImplies) {
-      lexer_.take();
-      return make_implies(std::move(left), parse_implies());
+      const Token op = lexer_.take();
+      const Nest nest(nesting_, op.column);
+      Parsed right = parse_implies();
+      return over(make_implies(std::move(left.node), std::move(right.node)),
+                  std::max(left.depth, right.depth), op.column);
     }
     return left;
   }
 
-  PropertyPtr parse_or() {
-    PropertyPtr left = parse_and();
+  Parsed parse_or() {
+    Parsed left = parse_and();
     while (lexer_.peek().kind == TokenKind::kOr) {
-      lexer_.take();
-      left = make_or(std::move(left), parse_and());
+      const Token op = lexer_.take();
+      Parsed right = parse_and();
+      left = over(make_or(std::move(left.node), std::move(right.node)),
+                  std::max(left.depth, right.depth), op.column);
     }
     return left;
   }
 
-  PropertyPtr parse_and() {
-    PropertyPtr left = parse_until();
+  Parsed parse_and() {
+    Parsed left = parse_until();
     while (lexer_.peek().kind == TokenKind::kAnd) {
-      lexer_.take();
-      left = make_and(std::move(left), parse_until());
+      const Token op = lexer_.take();
+      Parsed right = parse_until();
+      left = over(make_and(std::move(left.node), std::move(right.node)),
+                  std::max(left.depth, right.depth), op.column);
     }
     return left;
   }
 
   // until := unary ('U' '[0,k]' until)?   — right-associative.
-  PropertyPtr parse_until() {
-    PropertyPtr left = parse_unary();
+  Parsed parse_until() {
+    Parsed left = parse_unary();
     const Token& t = lexer_.peek();
     if (t.kind == TokenKind::kIdent && t.text == "U") {
       const Token op = lexer_.take();
@@ -202,18 +246,26 @@ private:
         fail("'U' requires explicit bounds: p U[0,k] q", op.column);
       }
       const std::size_t k = parse_interval();
-      return make_until_bounded(std::move(left), k, parse_until());
+      const Nest nest(nesting_, op.column);
+      Parsed right = parse_until();
+      return over(
+          make_until_bounded(std::move(left.node), k, std::move(right.node)),
+          std::max(left.depth, right.depth), op.column);
     }
     return left;
   }
 
-  PropertyPtr parse_unary() {
+  Parsed parse_unary() {
     const Token t = lexer_.take();
     switch (t.kind) {
-      case TokenKind::kNot:
-        return make_not(parse_unary());
+      case TokenKind::kNot: {
+        const Nest nest(nesting_, t.column);
+        Parsed p = parse_unary();
+        return over(make_not(std::move(p.node)), p.depth, t.column);
+      }
       case TokenKind::kLParen: {
-        PropertyPtr inner = parse_implies();
+        const Nest nest(nesting_, t.column);
+        Parsed inner = parse_implies();
         const Token close = lexer_.take();
         if (close.kind != TokenKind::kRParen) {
           fail("expected ')' to close '(', got " + describe(close),
@@ -224,24 +276,30 @@ private:
       case TokenKind::kIdent:
         if (t.text == "G" || t.text == "F") {
           const bool globally = t.text == "G";
-          if (lexer_.peek().kind == TokenKind::kLBracket) {
-            const std::size_t k = parse_interval();
-            return globally ? make_globally_bounded(k, parse_unary())
-                            : make_eventually_bounded(k, parse_unary());
-          }
-          return globally ? make_globally(parse_unary())
-                          : make_eventually(parse_unary());
+          const bool bounded = lexer_.peek().kind == TokenKind::kLBracket;
+          const std::size_t k = bounded ? parse_interval() : 0;
+          const Nest nest(nesting_, t.column);
+          Parsed p = parse_unary();
+          PropertyPtr node =
+              bounded ? (globally ? make_globally_bounded(k, std::move(p.node))
+                                  : make_eventually_bounded(k, std::move(p.node)))
+                      : (globally ? make_globally(std::move(p.node))
+                                  : make_eventually(std::move(p.node)));
+          return over(std::move(node), p.depth, t.column);
         }
         if (t.text == "settle" || t.text == "noglitch") {
           const std::size_t k = parse_single_bound(t);
-          return t.text == "settle" ? make_settle(k, parse_unary())
-                                    : make_noglitch(k, parse_unary());
+          const Nest nest(nesting_, t.column);
+          Parsed p = parse_unary();
+          return over(t.text == "settle" ? make_settle(k, std::move(p.node))
+                                         : make_noglitch(k, std::move(p.node)),
+                      p.depth, t.column);
         }
         if (t.text == "U") {
           fail("'U' is an infix operator and cannot begin a property",
                t.column);
         }
-        return make_atom(t.text);
+        return {make_atom(t.text), 0};
       default:
         fail("expected an atom, a prefix operator, or '(', got " +
                  describe(t),
@@ -308,6 +366,7 @@ private:
   }
 
   Lexer lexer_;
+  std::size_t nesting_ = 0;  ///< Nest levels currently held
 };
 
 }  // namespace

@@ -1,10 +1,20 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "props/property.h"
 
 namespace glva::props {
+
+/// Deepest nesting parse_property accepts, counted two ways: the open
+/// parentheses, prefix operators and right-nested `->` and `U[0,k]` on
+/// the parser's stack, and the operators on any root-to-atom path of the
+/// tree it returns (an atom is 0 deep, `!GFP` 1). Both bound the
+/// recursion of the parser and of whatever walks the tree (monitor
+/// compilation, to_string, the destructor). The deepest property in
+/// docs/ and the tests nests 5 levels.
+inline constexpr std::size_t kMaxPropertyDepth = 256;
 
 /// Parses the property language of docs/PROPERTIES.md:
 ///
@@ -26,7 +36,9 @@ namespace glva::props {
 ///
 /// Throws glva::ParseError (with a 1-based column) on malformed input:
 /// unbalanced bounds, an empty interval (hi < lo), a non-zero lower bound,
-/// an unexpected token, or trailing garbage.
+/// an unexpected token, trailing garbage, or nesting deeper than
+/// kMaxPropertyDepth (refused at the first token past the cap, so a
+/// deeper input costs no more than the cap).
 [[nodiscard]] PropertyPtr parse_property(const std::string& text);
 
 }  // namespace glva::props

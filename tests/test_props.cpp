@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -237,6 +238,58 @@ TEST(PropertyParser, RejectsMalformedInputPerProduction) {
                      10);
   expect_parse_error("settle[3,4] A",
                      "unbalanced bounds: expected ']', got ','", 9);
+}
+
+TEST(PropertyParser, DepthLadderAcceptsTheCapAndRefusesOneMore) {
+  // Every way to nest: each shape repeats `unit` once per level around
+  // the atom A (parentheses also close once per level). A property at
+  // kMaxPropertyDepth parses, prints, re-parses and evaluates; one level
+  // more is refused at that level's operator; 10^6 levels are refused as
+  // fast, since the parser stops at the cap.
+  struct Shape {
+    std::string unit;
+    std::size_t operator_column;  ///< the operator's column within `unit`
+    std::string closer;
+  };
+  const std::vector<Shape> shapes = {
+      {"(", 1, ")"},           {"!", 1, ""},          {"G ", 1, ""},
+      {"F ", 1, ""},           {"G[0,3] ", 1, ""},    {"F[0,3] ", 1, ""},
+      {"settle[2] ", 1, ""},   {"noglitch[2] ", 1, ""},
+      {"A->", 2, ""},          {"A U[0,1] ", 3, ""},  {"A&", 2, ""},
+      {"A|", 2, ""},
+  };
+  const auto build = [](const Shape& shape, std::size_t levels) {
+    std::string text;
+    text.reserve(levels * (shape.unit.size() + shape.closer.size()) + 1);
+    for (std::size_t i = 0; i < levels; ++i) text += shape.unit;
+    text += 'A';
+    for (std::size_t i = 0; i < levels; ++i) text += shape.closer;
+    return text;
+  };
+  constexpr std::size_t kCap = props::kMaxPropertyDepth;
+  sim::Rng rng(2603);
+  const props::NamedPlanes planes = named({random_bools(130, rng)});
+  for (const Shape& shape : shapes) {
+    const PropertyPtr deepest = props::parse_property(build(shape, kCap));
+    const std::string text = props::to_string(*deepest);
+    EXPECT_EQ(props::to_string(*props::parse_property(text)), text)
+        << shape.unit;
+    expect_backends_agree(*deepest, planes, "depth cap, " + shape.unit);
+
+    expect_parse_error(build(shape, kCap + 1),
+                       "nested deeper than " + std::to_string(kCap) +
+                           " levels",
+                       kCap * shape.unit.size() + shape.operator_column);
+
+    const std::string huge = build(shape, 1000000);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)props::parse_property(huge), ParseError) << shape.unit;
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count(),
+              0.1)
+        << shape.unit;
+  }
 }
 
 TEST(PropertyAst, CollectAtomsDedupsInAppearanceOrder) {

@@ -1047,6 +1047,37 @@ TEST(ServeSocket, OversizeFrameGetsProtocolErrorAndHangup) {
   server.stop();
 }
 
+TEST(ServeSocket, DeepPropertyGetsAParseErrorAndTheServerStaysUp) {
+  // 20,000 nested parentheses: a depth that overflowed the parser's stack
+  // and killed the daemon before the parser counted its depth.
+  ServerOptions options = small_server_options();
+  options.unix_path =
+      (std::filesystem::temp_directory_path() /
+       ("glva-test-deep-" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  Server server(options);
+  server.start();
+
+  const std::string property =
+      std::string(20000, '(') + "GFP" + std::string(20000, ')');
+  int fd = connect_unix_socket(options.unix_path);
+  const ParsedResponse refused = parse_response(socket_round_trip(
+      fd, analysis_payload("check", "0x0B",
+                           {"--property", property, "--total-time", "400"})));
+  ::close(fd);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_kind, "parse");
+
+  fd = connect_unix_socket(options.unix_path);
+  const Json status = glva::serve::parse_json(socket_round_trip(
+      fd, Json::object_of({{"op", Json::of("status")}}).dump()));
+  ::close(fd);
+  const Json* ok = status.find("ok");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_TRUE(ok->boolean);
+  server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // CLI surface
 // ---------------------------------------------------------------------------
