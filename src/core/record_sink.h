@@ -52,13 +52,8 @@ public:
   /// Fills every record's fov_est (core::estimate_fov).
   void finish() override;
 
-  /// Case_I, HIGH_O, O_Var and FOV_EST per combination, indexed by
-  /// combination (complete after finish()).
-  [[nodiscard]] const VariationAnalysis& analysis() const noexcept {
-    return analysis_;
-  }
-
-  /// Move the counts out.
+  /// Move out Case_I, HIGH_O, O_Var and FOV_EST per combination, indexed
+  /// by combination (complete after finish()).
   [[nodiscard]] VariationAnalysis take() noexcept {
     return std::move(analysis_);
   }

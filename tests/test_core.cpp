@@ -304,9 +304,10 @@ void expect_records_match_oracles(const std::vector<RecordDelivery>& deliveries,
   deliver_records(deliveries, inputs, digitizer);
   const PackedDigitalData planes = take_digitized(digitizer, inputs);
 
-  expect_same_records(records.analysis(), analyze_runs(planes),
+  const VariationAnalysis counted = records.take();
+  expect_same_records(counted, analyze_runs(planes),
                       label + " vs analyze_runs");
-  expect_same_records(records.analysis(),
+  expect_same_records(counted,
                       analyze_variation(analyze_cases(unpack(planes))),
                       label + " vs the reference stages");
 }
@@ -347,7 +348,7 @@ TEST(RecordSink, ResumedCombinationsCountTheGapLikeTheCompactedStream) {
   };
   RecordSink records({"I0", "I1"}, "OUT", kRecordThreshold);
   deliver_records(deliveries, 2, records);
-  const VariationAnalysis& analysis = records.analysis();
+  const VariationAnalysis analysis = records.take();
   EXPECT_EQ(analysis.records[1].case_count, 9u);
   EXPECT_EQ(analysis.records[1].high_count, 9u);
   EXPECT_EQ(analysis.records[1].variation_count, 0u);
