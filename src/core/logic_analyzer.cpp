@@ -33,7 +33,7 @@ ExtractionResult LogicAnalyzer::analyze_records(
   result.output_name = std::move(output_name);
   result.config = config_;
 
-  // Line 5's Case_I, as reduced with lines 4 and 6.
+  // Line 5's Case_I, copied out of the reduced counts.
   result.variation = std::move(variation);
   result.cases.input_count = result.input_count;
   result.cases.cases.resize(result.variation.records.size());
